@@ -6,8 +6,9 @@ patterns), `grid` (the torsion-class grid of a monocircular diagram)
 and `bound` (family lower bounds).  All JSON payloads carry
 "schema": 1 and are deterministic.
 
-Exit codes: 0 success or report, 2 parse/usage error, 3 hypothesis
-rejection, 4 size guard exceeded.
+Exit codes: 0 success or report, 2 parse/usage error (a bad state mask
+included), 3 hypothesis rejection (blue scars that do not form ladders
+included), 4 size guard exceeded.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import json
 import sys
 
 from . import diagram as dg
-from .homology import SizeGuardError, khovanov_table
-from .ladders import check_hypotheses, detect_ladders, ladder_first_permutation
-from .smoothing import signed_state, state_A
+from .homology import DEFAULT_CROSSING_LIMIT, SizeGuardError, khovanov_table
+from .ladders import LadderError, check_hypotheses, ladder_first
+from .smoothing import SmoothingError, signed_state, state_A
 from .torsion import (HypothesisRejected, TorsionError, admissible_classes,
                       all_even_tuples, certify_torsion, family_lower_bound,
                       grid as torsion_grid, rational_torsion_exists)
@@ -53,27 +54,35 @@ def _add_diagram_args(p: argparse.ArgumentParser) -> None:
                         "all-A ladders)")
 
 
+def _family(args) -> tuple[str, list[int]]:
+    """The family flag that was given, with its parameters."""
+    name = next(f for f in ("pretzel", "monocircular", "braid3", "rational")
+                if getattr(args, f, None) is not None)
+    return name, getattr(args, name)
+
+
+def _family_diagram(family: str, params: list[int]) -> dg.Diagram:
+    if family == "monocircular":
+        if len(params) != 2:
+            raise dg.DiagramError("--monocircular takes exactly two heights")
+        return dg.monocircular(*params)
+    build = {"pretzel": dg.pretzel, "braid3": dg.braid3_closure,
+             "rational": dg.rational}[family]
+    return build(params)
+
+
 def _build_diagram(args) -> dg.Diagram:
-    if args.pd:
+    if args.pd is not None:
         with open(args.pd) as fh:
             d = dg.parse_pd(fh.read())
-    elif args.pd_inline:
+    elif args.pd_inline is not None:
         d = dg.parse_pd(args.pd_inline)
-    elif args.pretzel:
-        d = dg.pretzel(args.pretzel)
-    elif args.monocircular:
-        if len(args.monocircular) != 2:
-            raise dg.DiagramError("--monocircular takes exactly two heights")
-        d = dg.monocircular(*args.monocircular)
-    elif args.braid3:
-        d = dg.braid3_closure(args.braid3)
     else:
-        d = dg.rational(args.rational)
+        d = _family_diagram(*_family(args))
     if args.mirror:
         d = d.mirror()
     if args.order == "ladder-first":
-        ladders = detect_ladders(d, 0)
-        d = dg.reorder_crossings(d, ladder_first_permutation(d, ladders))
+        d, _, _ = ladder_first(d, 0)
     return d
 
 
@@ -110,12 +119,7 @@ def cmd_certify(args) -> int:
         report = check_hypotheses(d, s0)
         if report.route == "rejected":
             raise HypothesisRejected(report)
-        if report.route == "theorem":
-            heights = report.heights()
-        else:
-            heights = tuple(l.height for l in report.ladders
-                            if l.periphery_number == 1)
-        mus = all_even_tuples(heights)
+        mus = all_even_tuples(report.mu_heights())
     elif args.mu:
         mus = [tuple(args.mu)]
     else:
@@ -147,30 +151,15 @@ def cmd_grid(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    if args.pretzel:
-        family, params = "pretzel", args.pretzel
-    elif args.braid3:
-        family, params = "braid3", args.braid3
-    else:
-        family, params = "rational", args.rational
+    family, params = _family(args)
     report = family_lower_bound(family, params)
     payload = report.to_json()
     if report.applicable:
-        if family == "pretzel":
-            d = dg.pretzel(params)
-        elif family == "braid3":
-            d = dg.braid3_closure(params)
-        else:
-            d = dg.rational(params)
+        d = _family_diagram(family, params)
         s0 = d.family_negative if d.family_negative is not None else 0
         rep = check_hypotheses(d, s0)
         if rep.route != "rejected":
-            if rep.route == "theorem":
-                heights = rep.heights()
-            else:
-                heights = tuple(l.height for l in rep.ladders
-                                if l.periphery_number == 1)
-            classes = admissible_classes(heights)
+            classes = admissible_classes(rep.mu_heights())
             payload["admissible_classes"] = len(classes)
             payload["class_representatives"] = [list(c[0]) for c in classes]
     if family == "rational":
@@ -202,8 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="integer Khovanov homology table")
     _add_diagram_args(p)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--limit", type=int, default=18,
-                   help="crossing guard for full enumeration (default 18)")
+    p.add_argument("--limit", type=int, default=DEFAULT_CROSSING_LIMIT,
+                   help="crossing guard for full enumeration "
+                        f"(default {DEFAULT_CROSSING_LIMIT})")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("certify", help="order-two torsion certificates")
@@ -266,13 +256,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(_merge_list_flags(list(argv)))
     try:
         return args.func(args)
-    except HypothesisRejected as exc:
+    except (HypothesisRejected, LadderError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (dg.DiagramError, TorsionError, OSError) as exc:
+    except (dg.DiagramError, SmoothingError, TorsionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

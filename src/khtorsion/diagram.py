@@ -13,7 +13,7 @@ the monocircular diagrams ``D(h1, h2) = P(-1, ..., -1, h2)``.
 
 Crossings are totally ordered (construction order); `reorder_crossings`
 is the only way to change the order.  Diagrams are immutable after
-construction and safe to share between threads.
+construction.
 """
 
 from __future__ import annotations

@@ -345,8 +345,6 @@ def _snf(diagram: Diagram, i: int, j: int, transforms: bool) -> SNFResult:
     key = ("snft" if transforms else "snf", i, j)
     store = _cache(diagram)
     if key not in store:
-        if transforms and ("snf", i, j) in store:
-            pass  # recompute with transforms; the cheap result stays valid
         store[key] = smith_normal_form(matrix_d(diagram, i, j), transforms)
     return store[key]
 

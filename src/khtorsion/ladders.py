@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .diagram import Diagram
+from .diagram import Diagram, reorder_crossings
 from .smoothing import smooth
 
 
@@ -267,6 +267,14 @@ class HypothesisReport:
     def heights(self) -> tuple[int, ...]:
         return tuple(l.height for l in self.ladders)
 
+    def mu_heights(self) -> tuple[int, ...]:
+        """Heights of the ladders that take a subset size mu: the
+        periphery-one ladders.  On the theorem route these are all the
+        ladders; on the corollary route the periphery-two ladders are
+        turned red and take none."""
+        return tuple(l.height for l in self.ladders
+                     if l.periphery_number == 1)
+
     def to_json(self) -> dict:
         return {
             "schema": 1,
@@ -354,3 +362,15 @@ def ladder_first_permutation(diagram: Diagram,
         used.update(ladder.steps)
     perm.extend(x for x in range(diagram.n_total) if x not in used)
     return perm
+
+
+def ladder_first(diagram: Diagram,
+                 labels: int) -> tuple[Diagram, tuple[int, ...], int]:
+    """Reorder the crossings along the ladders of the state `labels`.
+
+    Returns the reordered diagram, the permutation (``perm[k]`` = old
+    index of new crossing k) and `labels` relabelled to the new order.
+    """
+    perm = ladder_first_permutation(diagram, detect_ladders(diagram, labels))
+    relabelled = sum((labels >> old & 1) << new for new, old in enumerate(perm))
+    return reorder_crossings(diagram, perm), tuple(perm), relabelled

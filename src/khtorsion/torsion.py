@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .chaincomplex import differential
-from .diagram import Diagram, reorder_crossings
+from .diagram import Diagram
 from .homology import class_order, is_exact
-from .ladders import (HypothesisReport, Ladder, check_hypotheses,
-                      detect_ladders, ladder_first_permutation)
+from .ladders import (HypothesisReport, Ladder, break_ladders,
+                      check_hypotheses, detect_ladders, ladder_first)
 from .smoothing import Chain, EnhancedState, enumerate_states, smooth
 
 
@@ -101,8 +101,7 @@ def _c0_circle(diagram: Diagram, sm, ladder: Ladder,
 def require_ladder_first(diagram: Diagram, ladders: Sequence[Ladder]) -> None:
     """The sign bookkeeping of the chains assumes the ladder-first
     crossing order: ladder by ladder, steps in order, before everything
-    else.  `reorder_crossings` with `ladder_first_permutation` puts any
-    diagram into this form."""
+    else.  `ladders.ladder_first` puts any diagram into this form."""
     expected = [s for ladder in ladders for s in ladder.steps]
     if expected != list(range(len(expected))):
         raise TorsionError(
@@ -153,6 +152,20 @@ def state_sum(diagram: Diagram, s0: int, ladders: Sequence[Ladder],
     return Chain(diagram, degree[0], degree[1], coeffs, check=False)
 
 
+def _v_degree(diagram: Diagram, s0: int, ladders: Sequence[Ladder],
+              mu: Sequence[int]) -> tuple[int, int, int, int]:
+    """The theorem's degree of V(mu) and the data it is read from.
+
+    Returns (i0, |s1 D|, i, j) with i0 = |s0|, s1 = s0 with every ladder
+    broken, i = i0 + 1 + sum(mu) and j = i0 + |s1 D| + 2 sum(mu) - k for
+    k ladders.
+    """
+    i0 = bin(s0).count("1")
+    _, s1_circles = break_ladders(diagram, s0, ladders)
+    return (i0, s1_circles, i0 + 1 + sum(mu),
+            i0 + s1_circles + 2 * sum(mu) - len(ladders))
+
+
 def chain_X(diagram: Diagram, s0: int, ladders: Sequence[Ladder],
             mu: Sequence[int]) -> Chain:
     """X = s(mu_1, ..., mu_k; +)."""
@@ -186,14 +199,8 @@ def chain_V(diagram: Diagram, s0: int, ladders: Sequence[Ladder],
                           coefficient=sign)
         total = block if total is None else total + block
     if total is None:
-        i0 = bin(s0).count("1")
-        # degree of the (empty) V per the theorem's formulas
-        k = len(ladders)
-        i = i0 + 1 + sum(mu)
-        s1 = s0
-        for ladder in ladders:
-            s1 |= 1 << ladder.steps[0]
-        j = i0 + smooth(diagram, s1).circles + 2 * sum(mu) - k
+        # the (empty) V sits in the theorem's degree
+        _, _, i, j = _v_degree(diagram, s0, ladders, mu)
         return Chain(diagram, i, j)
     return total
 
@@ -378,14 +385,7 @@ def _route_setup(diagram: Diagram, s0: int):
         route_s0 = s0
     else:
         route_s0 = report.s0_prime
-    ladders = detect_ladders(diagram, route_s0)
-    perm = ladder_first_permutation(diagram, ladders)
-    d2 = reorder_crossings(diagram, perm)
-    old_to_new = {old: new for new, old in enumerate(perm)}
-    s0_new = 0
-    for old in range(diagram.n_total):
-        if route_s0 >> old & 1:
-            s0_new |= 1 << old_to_new[old]
+    d2, perm, s0_new = ladder_first(diagram, route_s0)
     ladders2 = detect_ladders(d2, s0_new)
     if route == "corollary":
         bad = [l for l in ladders2
@@ -397,7 +397,7 @@ def _route_setup(diagram: Diagram, s0: int):
         if not rep2.accepted_theorem:
             raise TorsionError(
                 "corollary route state rejected: " + "; ".join(rep2.failures))
-    return report, route, d2, tuple(perm), s0_new, ladders2
+    return route, d2, perm, s0_new, ladders2
 
 
 def certify_torsion(diagram: Diagram, s0: int, mu: Sequence[int],
@@ -411,7 +411,7 @@ def certify_torsion(diagram: Diagram, s0: int, mu: Sequence[int],
     `oracle` additionally confirms the order through the integral
     exactness oracle.
     """
-    report, route, d2, perm, s0_new, ladders = _route_setup(diagram, s0)
+    route, d2, perm, s0_new, ladders = _route_setup(diagram, s0)
     mu = tuple(int(m) for m in mu)
     heights = tuple(l.height for l in ladders)
     if len(mu) != len(ladders):
@@ -459,14 +459,7 @@ def certify_torsion(diagram: Diagram, s0: int, mu: Sequence[int],
         if not flags["even_module_verified"]:
             raise TorsionError("even module failed the brute-force check")
 
-    i0 = bin(s0_new).count("1")
-    k = len(ladders)
-    s1 = s0_new
-    for ladder in ladders:
-        s1 |= 1 << ladder.steps[0]
-    s1_circles = smooth(d2, s1).circles
-    i = i0 + 1 + sum(mu)
-    j = i0 + s1_circles + 2 * sum(mu) - k
+    i0, s1_circles, i, j = _v_degree(d2, s0_new, ladders, mu)
     if (v.i, v.j) != (i, j):
         raise TorsionError(
             f"degree formula mismatch: V at ({v.i},{v.j}), expected ({i},{j})")
@@ -659,47 +652,22 @@ def grid(h1: int, h2: int) -> Grid:
     heights = (h1, h2)
     g1 = [(mu, 0) for mu in range(1, h1, 2)] + \
          [(0, mu) for mu in range(1, h2, 2)]
-    g2 = [(m1, m2)
-          for m1 in range(2, h1 + 1) for m2 in range(2, h2 + 1)
-          if admissible_mu(heights, (m1, m2))]
+    classes = admissible_classes(heights)
+    g2 = [mu for cls in classes for mu in cls]
+    # the single monocircular coincidence: V(1,0) ~ V(0,1)
+    merged = [((0, 1), (1, 0))]
+    merged += [(a, b) for cls in classes
+               for a, b in itertools.combinations(cls, 2)
+               if same_class(a, b, heights)]
 
-    # union-find over same-degree points
-    parent = {p: p for p in g1 + g2}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    def union(p, q):
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[max(rp, rq)] = min(rp, rq)
-
-    merged = []
-    # the single monocircular coincidence
-    if (1, 0) in parent and (0, 1) in parent:
-        union((1, 0), (0, 1))
-        merged.append(((0, 1), (1, 0)))
-    by_sum: dict[int, list[tuple[int, int]]] = {}
-    for p in g2:
-        by_sum.setdefault(sum(p), []).append(p)
-    for pts in by_sum.values():
-        for a, b in itertools.combinations(sorted(pts), 2):
-            if same_class(a, b, heights):
-                union(a, b)
-                merged.append((a, b))
-
+    # one class per point of g1 but (1, 0), and per class of g2, at
+    # i = mu1 + mu2 + 1
     counts = [0] * (h1 + h2)
-    seen_roots = set()
-    for p in g1 + g2:
-        r = find(p)
-        if r in seen_roots:
-            continue
-        seen_roots.add(r)
-        i = (p[0] + p[1]) + 1 if p in g2 else max(p) + 1
-        counts[i - 1] += 1
+    for p in g1:
+        if p != (1, 0):
+            counts[sum(p)] += 1
+    for cls in classes:
+        counts[sum(cls[0])] += 1
     return Grid(h1, h2, tuple(sorted(g1)), tuple(sorted(g2)),
                 tuple(sorted(merged)), tuple(counts))
 
@@ -891,7 +859,6 @@ def rational_torsion_exists(entries: Sequence[int],
     if report.route == "rejected":
         return RationalTorsionResult(False, tuple(report.failures),
                                      report, None)
-    p1 = [l for l in report.ladders if l.periphery_number == 1]
-    mu = tuple(2 for _ in p1)
+    mu = (2,) * len(report.mu_heights())
     cert = certify_torsion(diagram, s0, mu, oracle=oracle)
     return RationalTorsionResult(True, (), report, cert)

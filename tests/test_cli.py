@@ -137,3 +137,20 @@ def test_ladder_first_order_flag(capsys):
     code, out, _ = run(capsys, "table", "--pretzel", "-1,3",
                        "--order", "ladder-first", "--json")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # blue scars that do not form ladders: the pattern hypotheses fail
+    (("certify", "--pretzel", "2,2", "--mu", "2"), 3),
+    (("table", "--pretzel", "3,3", "--order", "ladder-first"), 3),
+    # a state mask wider than the diagram
+    (("certify", "--pretzel", "3,3,3", "--state", "ffff", "--mu", "2"), 2),
+    # empty diagram sources
+    (("table", "--pretzel", ""), 2),
+    (("table", "--pd-inline", ""), 2),
+])
+def test_bad_input_exit_code_without_traceback(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert "Traceback" not in out + err
+    assert err.startswith("rejected: " if expected == 3 else "error: ")

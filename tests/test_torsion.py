@@ -300,7 +300,7 @@ def test_grid_10_15_counts():
 
 
 def test_grid_point_sets_definitions():
-    for h1, h2 in ((2, 5), (2, 6), (4, 6), (5, 7)):
+    for h1, h2 in itertools.product(range(2, 9), repeat=2):
         g = grid(h1, h2)
         g1 = {(mu, 0) for mu in range(1, h1, 2)} | \
              {(0, mu) for mu in range(1, h2, 2)}
@@ -309,6 +309,31 @@ def test_grid_point_sets_definitions():
               if (m1 % 2 == 0 and m1 < h1) or (m2 % 2 == 0 and m2 < h2)}
         assert set(g.g1) == g1
         assert set(g.g2) == g2
+
+        # every merge: brute force over all pairs of g2, plus V(0,1) ~ V(1,0)
+        pairs = {(a, b) for a, b in itertools.combinations(sorted(g2), 2)
+                 if same_class(a, b, (h1, h2))}
+        pairs.add(((0, 1), (1, 0)))
+        assert g.same_class_pairs == tuple(sorted(pairs))
+
+        # one class per connected component, counted at i = mu1 + mu2 + 1
+        nbr = {p: set() for p in g1 | g2}
+        for a, b in pairs:
+            nbr[a].add(b)
+            nbr[b].add(a)
+        counts = [0] * (h1 + h2)
+        seen = set()
+        for p in sorted(nbr):
+            if p in seen:
+                continue
+            counts[sum(p)] += 1
+            stack = [p]
+            while stack:
+                q = stack.pop()
+                if q not in seen:
+                    seen.add(q)
+                    stack.extend(nbr[q] - seen)
+        assert list(g.counts) == counts
 
 
 def test_grid_g1_g2_disjoint():
