@@ -18,29 +18,38 @@ from .smoothing import Chain, EnhancedState, degrees, enumerate_states, smooth
 
 
 def differential(diagram: Diagram, arg) -> Chain:
-    """d of an enhanced state or of a chain (extended linearly)."""
+    """d of an enhanced state or of a chain (extended linearly).
+
+    The images of a chain's terms are summed into one coefficient map,
+    so the cost is linear in the number of terms."""
     if isinstance(arg, Chain):
-        i, j = arg.i, arg.j
-        out = Chain(diagram, i + 1, j)
+        coeffs: dict[EnhancedState, int] = {}
         for state, c in arg.coeffs.items():
-            out = out + c * _differential_state(diagram, state)
-        return out
+            _add_differential(diagram, state, c, coeffs)
+        return Chain(diagram, arg.i + 1, arg.j, coeffs, check=False)
     return _differential_state(diagram, EnhancedState(*arg))
 
 
 def _differential_state(diagram: Diagram, state: EnhancedState) -> Chain:
+    coeffs: dict[EnhancedState, int] = {}
+    i, j = _add_differential(diagram, state, 1, coeffs)
+    return Chain(diagram, i + 1, j, coeffs, check=False)
+
+
+def _add_differential(diagram: Diagram, state: EnhancedState, scale: int,
+                      coeffs: dict) -> tuple[int, int]:
+    """Add scale * d(state) into coeffs; returns the (i, j) of the state."""
     labels, plus = state
     i = bin(labels).count("1")
     sm = smooth(diagram, labels)
     j = i + 2 * bin(plus).count("1") - sm.circles
-    coeffs: dict[EnhancedState, int] = {}
     k = 0  # number of B labels before the current crossing
     for x in range(diagram.n_total):
         if labels >> x & 1:
             k += 1
             continue
         side0, side1 = sm.scar_sides[x]
-        sign = -1 if k & 1 else 1
+        sign = -scale if k & 1 else scale
         new_labels = labels | (1 << x)
         tm = smooth(diagram, new_labels)
         if side0 != side1:  # merging
@@ -63,7 +72,7 @@ def _differential_state(diagram: Diagram, state: EnhancedState) -> Chain:
                 _add(coeffs, EnhancedState(new_labels, base_plus | (1 << c1)), sign)
             else:  # - -> (-,-)
                 _add(coeffs, EnhancedState(new_labels, base_plus), sign)
-    return Chain(diagram, i + 1, j, coeffs, check=False)
+    return i, j
 
 
 def _transfer_signs(sm, tm, plus: int) -> int:

@@ -23,7 +23,8 @@ from .ladders import LadderError, check_hypotheses, ladder_first
 from .smoothing import SmoothingError, signed_state, state_A
 from .torsion import (HypothesisRejected, TorsionError, admissible_classes,
                       all_even_tuples, certify_torsion, family_lower_bound,
-                      grid as torsion_grid, rational_torsion_exists)
+                      grid as torsion_grid, rational_torsion_exists,
+                      route_setup)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -116,10 +117,8 @@ def cmd_certify(args) -> int:
     d = _build_diagram(args)
     s0 = _state_mask(d, args.state)
     if args.all_even:
-        report = check_hypotheses(d, s0)
-        if report.route == "rejected":
-            raise HypothesisRejected(report)
-        mus = all_even_tuples(report.mu_heights())
+        # the setup every certificate below reuses
+        mus = all_even_tuples(route_setup(d, s0).report.mu_heights())
     elif args.mu:
         mus = [tuple(args.mu)]
     else:

@@ -85,9 +85,11 @@ def smith_normal_form(matrix: SparseIntMatrix,
     for r, row in enumerate(m.rows):
         for c in row:
             col_rows[c].add(r)
+    nnz = matrix.nnz()  # kept equal to m.nnz() by add_row and add_col
 
     def add_row(src, dst, q):
         # row[dst] += q * row[src]
+        nonlocal nnz
         if q == 0:
             return
         rdst, rsrc = m.rows[dst], m.rows[src]
@@ -96,10 +98,12 @@ def smith_normal_form(matrix: SparseIntMatrix,
             if x:
                 if c not in rdst:
                     col_rows[c].add(dst)
+                    nnz += 1
                 rdst[c] = x
             elif c in rdst:
                 col_rows[c].discard(dst)
                 del rdst[c]
+                nnz -= 1
         if u is not None:
             udst, usrc = u.rows[dst], u.rows[src]
             for c, v in usrc.items():
@@ -111,6 +115,7 @@ def smith_normal_form(matrix: SparseIntMatrix,
 
     def add_col(src, dst, q):
         # col[dst] += q * col[src]
+        nonlocal nnz
         if q == 0:
             return
         for r in list(col_rows[src]):
@@ -120,10 +125,12 @@ def smith_normal_form(matrix: SparseIntMatrix,
             if x:
                 if dst not in row:
                     col_rows[dst].add(r)
+                    nnz += 1
                 row[dst] = x
             elif dst in row:
                 col_rows[dst].discard(r)
                 del row[dst]
+                nnz -= 1
         if vcols is not None:
             cdst, csrc = vcols[dst], vcols[src]
             for r, v in csrc.items():
@@ -203,7 +210,7 @@ def smith_normal_form(matrix: SparseIntMatrix,
             if r2 not in done_rows:
                 push_row(r2)
         # keep the heap from degenerating on repeated stale pushes
-        if len(heap) > 8 * (m.nnz() + 1):
+        if len(heap) > 8 * (nnz + 1):
             live = [(vv if vv > 0 else -vv,
                      (len(m.rows[r]) - 1) * (len(col_rows[c]) - 1), r, c)
                     for r in range(nrows) if r not in done_rows

@@ -24,11 +24,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .chaincomplex import differential
 from .diagram import Diagram
-from .homology import class_order, is_exact
+from .homology import _cache, class_order, is_exact
 from .ladders import (HypothesisReport, Ladder, break_ladders,
                       check_hypotheses, detect_ladders, ladder_first)
 from .smoothing import Chain, EnhancedState, enumerate_states, smooth
@@ -374,9 +374,35 @@ def all_even_tuples(heights: Sequence[int]) -> list[tuple[int, ...]]:
             if admissible_mu(heights, mu)]
 
 
-def _route_setup(diagram: Diagram, s0: int):
-    """Apply the hypothesis check and return everything the chain
-    construction needs, in ladder-first crossing order."""
+class RouteSetup(NamedTuple):
+    """The hypothesis report of a state and everything the chain
+    construction needs, in ladder-first crossing order: the reordered
+    diagram, the permutation, the route state relabelled and its
+    ladders."""
+
+    report: HypothesisReport
+    diagram: Diagram
+    permutation: tuple[int, ...]
+    s0: int
+    ladders: tuple[Ladder, ...]
+
+
+def route_setup(diagram: Diagram, s0: int) -> RouteSetup:
+    """Check the hypotheses for s0 and reorder the diagram ladder-first.
+
+    The setup is stored with the diagram's other per-diagram data, keyed
+    by the state, so every certificate of one diagram and state shares
+    one ladder-first diagram and its smoothing and SNF caches.  Raises
+    HypothesisRejected (not stored) when no route applies.
+    """
+    store = _cache(diagram)
+    key = ("route", s0)
+    if key not in store:
+        store[key] = _route_setup(diagram, s0)
+    return store[key]
+
+
+def _route_setup(diagram: Diagram, s0: int) -> RouteSetup:
     report = check_hypotheses(diagram, s0)
     route = report.route
     if route == "rejected":
@@ -397,7 +423,7 @@ def _route_setup(diagram: Diagram, s0: int):
         if not rep2.accepted_theorem:
             raise TorsionError(
                 "corollary route state rejected: " + "; ".join(rep2.failures))
-    return route, d2, perm, s0_new, ladders2
+    return RouteSetup(report, d2, perm, s0_new, ladders2)
 
 
 def certify_torsion(diagram: Diagram, s0: int, mu: Sequence[int],
@@ -409,9 +435,10 @@ def certify_torsion(diagram: Diagram, s0: int, mu: Sequence[int],
     the periphery-two ladders are turned red beforehand and take no mu).
     `verify_even` brute-forces the evenness of the certificate module;
     `oracle` additionally confirms the order through the integral
-    exactness oracle.
+    exactness oracle.  Certificates of one diagram and state share one
+    ladder-first diagram (see `route_setup`).
     """
-    route, d2, perm, s0_new, ladders = _route_setup(diagram, s0)
+    report, d2, perm, s0_new, ladders = route_setup(diagram, s0)
     mu = tuple(int(m) for m in mu)
     heights = tuple(l.height for l in ladders)
     if len(mu) != len(ladders):
@@ -474,7 +501,7 @@ def certify_torsion(diagram: Diagram, s0: int, mu: Sequence[int],
             raise TorsionError(
                 f"oracle disagrees: class order {flags['oracle_order']}")
     return TorsionCertificate(
-        diagram=d2, permutation=perm, route=route, s0=s0_new, mu=mu,
+        diagram=d2, permutation=perm, route=report.route, s0=s0_new, mu=mu,
         heights=heights, i0=i0, s1_circles=s1_circles,
         i=i, j=j, h=i - n, q=j + p - 2 * n,
         chain_x=x, chain_v=v, generator=generator, flags=flags)

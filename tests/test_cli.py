@@ -74,6 +74,30 @@ def test_certify_all_even_braid(capsys):
     assert degrees == [c["degrees"]["h"] for c in payload["certificates"]]
 
 
+def test_certify_all_even_sets_up_once(capsys, monkeypatch):
+    # one hypothesis check and one ladder-first reorder for all six tuples
+    import khtorsion.cli as cli
+    import khtorsion.torsion as torsion
+
+    calls = {"check_hypotheses": 0, "ladder_first": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        for module in (cli, torsion):
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
+    code, out, _ = run(capsys, "certify", "--all-even", "--json",
+                       "--monocircular", "5,6")
+    assert code == 0
+    assert len(json.loads(out)["certificates"]) == 6
+    assert calls == {"check_hypotheses": 1, "ladder_first": 1}
+
+
 def test_certify_json_roundtrip(capsys):
     code, out, _ = run(capsys, "certify", "--monocircular", "3,6",
                        "--mu", "2,2", "--json")

@@ -3,7 +3,7 @@
 import itertools
 import random
 
-from khtorsion import (EnhancedState, boundary_matrix, braid3_closure,
+from khtorsion import (Chain, EnhancedState, boundary_matrix, braid3_closure,
                        differential, enumerate_states, incidence,
                        monocircular, parse_pd, pretzel, smooth)
 from khtorsion.knotdata import HOPF_2, KNOT_3_1
@@ -72,6 +72,38 @@ def test_incidence_matches_differential_coefficients():
                     ds = differential(d, s)
                     for t in rng.sample(targets, min(6, len(targets))):
                         assert incidence(d, s, t) == ds.coefficient(t)
+
+
+def test_chain_differential_matches_incidence_sums():
+    # d of a chain is the incidence-weighted sum of its terms, zero
+    # coefficients dropped; d(d(y)) = 0 makes every term cancel
+    rng = random.Random(17)
+    for d in (parse_pd(HOPF_2), pretzel([-1, 3]), monocircular(2, 2)):
+        n = d.n_total
+        for i in range(0, n):
+            for j in range(-2 * n - 2, 2 * n + 3):
+                basis = enumerate_states(d, i, j)
+                targets = enumerate_states(d, i + 1, j)
+                zero = differential(d, Chain(d, i, j))
+                assert zero.is_zero() and (zero.i, zero.j) == (i + 1, j)
+                if not basis:
+                    continue
+                sizes = sorted({1, min(3, len(basis)), len(basis)})
+                chains = [Chain(d, i, j, {s: rng.choice((-3, -2, -1, 1, 2, 3))
+                                          for s in rng.sample(basis, k)})
+                          for k in sizes]
+                chains += [differential(d, Chain(d, i - 1, j, {y: 1}))
+                           for y in enumerate_states(d, i - 1, j)]
+                for chain in chains:
+                    expected = {}
+                    for t in targets:
+                        v = sum(c * incidence(d, s, t)
+                                for s, c in chain.coeffs.items())
+                        if v:
+                            expected[t] = v
+                    out = differential(d, chain)
+                    assert out.coeffs == expected
+                    assert (out.i, out.j) == (i + 1, j)
 
 
 def test_incidence_not_adjacent_cases():

@@ -1,5 +1,6 @@
 """Smith normal form, homology tables, exactness oracle."""
 
+import heapq
 import math
 import random
 
@@ -61,6 +62,76 @@ def test_snf_transforms_umv():
         for a, b in zip(res.factors, res.factors[1:]):
             assert b % a == 0
         assert all(f > 0 for f in res.factors)
+
+
+def dense_snf_factors(rows):
+    """Invariant factors by the textbook dense algorithm: move a smallest
+    entry to the corner, reduce its row and column, and fold in a row
+    that the corner does not divide."""
+    a = [list(r) for r in rows]
+    n, m = len(a), len(a[0])
+
+    def corner(t, cells):
+        _, r, c = min((abs(a[r][c]), r, c) for r, c in cells if a[r][c])
+        a[t], a[r] = a[r], a[t]
+        for row in a:
+            row[t], row[c] = row[c], row[t]
+
+    factors = []
+    for t in range(min(n, m)):
+        block = [(r, c) for r in range(t, n) for c in range(t, m)]
+        if not any(a[r][c] for r, c in block):
+            break
+        corner(t, block)
+        while True:
+            p = a[t][t]
+            for r in range(t + 1, n):
+                q = a[r][t] // p
+                a[r] = [x - q * y for x, y in zip(a[r], a[t])]
+            for c in range(t + 1, m):
+                q = a[t][c] // p
+                for row in a:
+                    row[c] -= q * row[t]
+            line = [(r, t) for r in range(t, n)] + \
+                   [(t, c) for c in range(t + 1, m)]
+            if any(a[r][c] for r, c in line[1:]):
+                corner(t, line)
+                continue
+            bad = [r for r in range(t + 1, n)
+                   if any(a[r][c] % p for c in range(t + 1, m))]
+            if not bad:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad[0]])]
+        factors.append(abs(a[t][t]))
+    return factors
+
+
+def test_snf_large_sparse_against_dense_reference(monkeypatch):
+    # 40x40 with three entries per row is large enough for the stale heap
+    # entries to trigger the heap rebuild in smith_normal_form
+    heapify = heapq.heapify
+    calls = []
+
+    def counting_heapify(h):
+        calls.append(len(h))
+        heapify(h)
+
+    monkeypatch.setattr(heapq, "heapify", counting_heapify)
+    rng = random.Random(3)
+    count = 20
+    for _ in range(count):
+        rows = [[0] * 40 for _ in range(40)]
+        for row in rows:
+            for c in rng.sample(range(40), 3):
+                row[c] = rng.choice((1, -1, 2, -2, 3, -3, 4))
+        m = dense(rows)
+        plain = smith_normal_form(m, transforms=False)
+        full = smith_normal_form(m, transforms=True)
+        assert plain.factors == full.factors == dense_snf_factors(rows)
+        prod = full.u.matmul(m).matmul(full.v)
+        assert prod.to_dense() == full.s_matrix().to_dense()
+    # one heapify per call, the rest are rebuilds
+    assert len(calls) > 2 * count
 
 
 def test_unknot_kink_homology():

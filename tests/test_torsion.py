@@ -167,6 +167,17 @@ def test_certificates_monocircular_3_6():
         assert cert.flags["not_exact_strict"]
 
 
+def test_certificates_share_one_route_setup():
+    # every mu of one diagram and state reuses one ladder-first diagram
+    d = monocircular(3, 6)
+    first = certify_torsion(d, 0, (2, 2))
+    second = certify_torsion(d, 0, (2, 4))
+    assert second.diagram is first.diagram
+    assert first.diagram is not d
+    assert certify_torsion(monocircular(3, 6), 0, (2, 2)).diagram \
+        is not first.diagram
+
+
 def test_certificate_oracle_and_json():
     cert = certify_torsion(monocircular(3, 6), 0, (2, 2),
                            verify_even=True, oracle=True)
