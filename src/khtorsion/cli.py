@@ -19,12 +19,12 @@ import sys
 
 from . import diagram as dg
 from .homology import DEFAULT_CROSSING_LIMIT, SizeGuardError, khovanov_table
-from .ladders import LadderError, check_hypotheses, ladder_first
+from .ladders import LadderError, ladder_first
 from .smoothing import SmoothingError, signed_state, state_A
 from .torsion import (HypothesisRejected, TorsionError, admissible_classes,
-                      all_even_tuples, certify_torsion, family_lower_bound,
-                      grid as torsion_grid, rational_torsion_exists,
-                      route_setup)
+                      all_even_tuples, certify_torsion, checked_hypotheses,
+                      family_lower_bound, grid as torsion_grid,
+                      rational_torsion_exists, route_setup)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -153,16 +153,18 @@ def cmd_bound(args) -> int:
     family, params = _family(args)
     report = family_lower_bound(family, params)
     payload = report.to_json()
+    d = None
     if report.applicable:
         d = _family_diagram(family, params)
         s0 = d.family_negative if d.family_negative is not None else 0
-        rep = check_hypotheses(d, s0)
+        rep = checked_hypotheses(d, s0)
         if rep.route != "rejected":
             classes = admissible_classes(rep.mu_heights())
             payload["admissible_classes"] = len(classes)
             payload["class_representatives"] = [list(c[0]) for c in classes]
     if family == "rational":
-        payload["torsion_exists"] = rational_torsion_exists(params).to_json()
+        payload["torsion_exists"] = rational_torsion_exists(
+            params, diagram=d).to_json()
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

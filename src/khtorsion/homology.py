@@ -1,16 +1,27 @@
-"""Integer Khovanov homology via Smith normal form.
+"""Integer Khovanov homology: unit cancellation, then Smith normal form.
 
-Homology at (i, j) is ker(d_i) / im(d_{i-1}): the free rank is
-dim ker(d_i) - rank(d_{i-1}) and the torsion is read off the invariant
-factors of d_{i-1}.  The Smith normal form is computed by fraction-free
-integer elimination with pivots chosen of smallest magnitude (ties by
-least fill); Python integers keep everything exact.
+The table is computed one quantum degree j at a time.  The complex
+C^{*,j} is assembled in full and every +-1 entry phi = d_i[r][c] is
+cancelled by the Gaussian-elimination lemma (Bar-Natan, *Fast Khovanov
+homology computations*): generator c of C^i and generator r of C^{i+1}
+are dropped, d_i gets the rank-one update eps - gamma phi^-1 delta, and
+d_{i-1} and d_{i+1} lose the matching row and column.  The result is
+homotopy equivalent to C^{*,j} and has no unit entries left, so it is
+small; Kh^{i,j} = ker(d_i) / im(d_{i-1}) is read off the rank-only Smith
+normal form of the residual: the free rank is dim - rank(d_i) -
+rank(d_{i-1}) and the torsion is the invariant factors of d_{i-1}.
 
-`is_exact` solves d(y) = v over the integers using the transforms
-U M V = S: with b = U v the system is solvable iff b_t is divisible by
-the t-th invariant factor (and b vanishes beyond the rank), in which
-case y = V z is a witness.  `class_order` applies this to m v for the
-divisors m of the exponent bound (the largest invariant factor).
+The Smith normal form is computed by fraction-free integer elimination
+with pivots chosen of smallest magnitude (ties by least fill); Python
+integers keep everything exact.
+
+The exactness oracle factors the full matrices instead, with
+transforms, because its witness is a chain of enhanced states.  `is_exact` solves d(y) = v over the
+integers using the transforms U M V = S: with b = U v the system is
+solvable iff b_t is divisible by the t-th invariant factor (and b
+vanishes beyond the rank), in which case y = V z is a witness.
+`class_order` applies this to m v for the divisors m of the exponent
+bound (the largest invariant factor).
 """
 
 from __future__ import annotations
@@ -356,12 +367,108 @@ def _snf(diagram: Diagram, i: int, j: int, transforms: bool) -> SNFResult:
     return store[key]
 
 
+def cancel_units(complex_: list[SparseIntMatrix]) -> list[SparseIntMatrix]:
+    """Cancel every +-1 entry of a chain complex (Gaussian elimination).
+
+    `complex_[k]` is d_k : C^k -> C^{k+1}, rows indexing C^{k+1}, so the
+    row count of d_k is the column count of d_{k+1}.  The matrices are
+    consumed.  Returns the residual differentials of a homotopy
+    equivalent complex with no unit entry; their rows and columns are
+    the surviving generators, in their original order.
+
+    A unit phi = d_k[r][c] drops generator c of C^k and r of C^{k+1}:
+    d_k gets the rank-one update eps - gamma phi^-1 delta, row c of
+    d_{k-1} and column r of d_{k+1} go.  One pass in increasing k
+    suffices: cancelling in d_{k+1} only deletes rows of d_k, which has
+    no unit left by then.  Within d_k the pivot row is the shortest row
+    holding a unit, and its pivot the unit of the shortest column,
+    which keeps the fill of the updates small.
+    """
+    gone: list[set[int]] = [set() for _ in range(len(complex_) + 1)]
+    for k, mat in enumerate(complex_):
+        rows, dead = mat.rows, gone[k]
+        cols: list[set[int]] = [set() for _ in range(mat.ncols)]
+        for r, row in enumerate(rows):
+            if dead:
+                for c in [c for c in row if c in dead]:
+                    del row[c]
+            for c in row:
+                cols[c].add(r)
+        heap = [(len(row), r) for r, row in enumerate(rows) if row]
+        heapq.heapify(heap)
+        while heap:
+            length, r = heapq.heappop(heap)
+            row = rows[r]
+            if length != len(row):
+                continue  # stale: the row changed and was pushed again
+            units = [c for c, v in row.items() if v == 1 or v == -1]
+            if not units:
+                continue
+            c = min(units, key=lambda c: len(cols[c]))
+            phi = row.pop(c)
+            for c2 in row:
+                cols[c2].discard(r)
+            cols[c].discard(r)
+            for r2 in cols[c]:
+                row2 = rows[r2]
+                q = row2.pop(c) * phi  # phi^-1 = phi for a unit
+                for c2, v in row.items():
+                    x = row2.get(c2, 0) - q * v
+                    if x:
+                        if c2 not in row2:
+                            cols[c2].add(r2)
+                        row2[c2] = x
+                    else:
+                        del row2[c2]
+                        cols[c2].discard(r2)
+                heapq.heappush(heap, (len(row2), r2))
+            cols[c] = set()
+            rows[r] = {}
+            gone[k].add(c)
+            gone[k + 1].add(r)
+    residual = []
+    for k, mat in enumerate(complex_):
+        keep = [r for r in range(mat.nrows) if r not in gone[k + 1]]
+        index = {c: t for t, c in enumerate(
+            c for c in range(mat.ncols) if c not in gone[k])}
+        residual.append(SparseIntMatrix(
+            len(keep), len(index),
+            [{index[c]: v for c, v in mat.rows[r].items()} for r in keep]))
+    return residual
+
+
+def _reduced(diagram: Diagram, j: int) -> list[tuple[int, SNFResult]]:
+    """For i = 0..n: the generators of C^{i,j} left after `cancel_units`
+    and the rank-only SNF of the residual d_i (cached per j).  The full
+    matrices are dropped once cancelled."""
+    key = ("reduced", j)
+    store = _cache(diagram)
+    if key not in store:
+        bases = [basis(diagram, i, j)
+                 for i in range(diagram.n_total + 1)] + [[]]
+        residual = cancel_units([
+            boundary_matrix(diagram, i, j, bases[i], bases[i + 1])
+            for i in range(diagram.n_total + 1)])
+        store[key] = [
+            (m.ncols, smith_normal_form(m, transforms=False) if m.nnz()
+             else SNFResult(None, None, [], m.nrows, m.ncols))
+            for m in residual]
+    return store[key]
+
+
 def homology_at(diagram: Diagram, i: int, j: int) -> tuple[int, tuple[int, ...]]:
-    """(free rank, torsion invariant factors > 1) of Kh^{i,j}(D)."""
-    dim = len(basis(diagram, i, j))
-    rank_di = _snf(diagram, i, j, transforms=False).rank
-    prev = _snf(diagram, i - 1, j, transforms=False)
-    free = dim - rank_di - prev.rank
+    """(free rank, torsion invariant factors > 1) of Kh^{i,j}(D), read
+    off the unit-cancelled complex at quantum degree j."""
+    reduced = _reduced(diagram, j)
+
+    def at(k: int) -> tuple[int, SNFResult]:
+        if 0 <= k < len(reduced):
+            return reduced[k]
+        return 0, SNFResult(None, None, [], 0, 0)
+
+    dim, snf = at(i)
+    _, prev = at(i - 1)
+    free = dim - snf.rank - prev.rank
     torsion = tuple(d for d in prev.factors if d > 1)
     return free, torsion
 

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .chaincomplex import differential
+from .chaincomplex import _add_differential, differential
 from .diagram import Diagram
 from .homology import _cache, class_order, is_exact
 from .ladders import (HypothesisReport, Ladder, break_ladders,
@@ -276,10 +276,11 @@ def verify_evenness(module: EvenModule, diagram: Diagram) -> bool:
     enhanced-state generator Y of C^{i-1,j}; linearity does the rest."""
     if not module.basis:
         return True
+    coeffs: dict[EnhancedState, int] = {}
     for y in enumerate_states(diagram, module.i - 1, module.j):
-        total = module.projection_sum(
-            differential(diagram, EnhancedState(*y)))
-        if total % 2:
+        coeffs.clear()
+        _add_differential(diagram, y, 1, coeffs)
+        if sum(c for s, c in coeffs.items() if s in module.basis) % 2:
             return False
     return True
 
@@ -387,6 +388,16 @@ class RouteSetup(NamedTuple):
     ladders: tuple[Ladder, ...]
 
 
+def checked_hypotheses(diagram: Diagram, s0: int) -> HypothesisReport:
+    """`check_hypotheses` for s0, stored with the diagram's other
+    per-diagram data so that one diagram and state is checked once."""
+    store = _cache(diagram)
+    key = ("hypotheses", s0)
+    if key not in store:
+        store[key] = check_hypotheses(diagram, s0)
+    return store[key]
+
+
 def route_setup(diagram: Diagram, s0: int) -> RouteSetup:
     """Check the hypotheses for s0 and reorder the diagram ladder-first.
 
@@ -403,7 +414,7 @@ def route_setup(diagram: Diagram, s0: int) -> RouteSetup:
 
 
 def _route_setup(diagram: Diagram, s0: int) -> RouteSetup:
-    report = check_hypotheses(diagram, s0)
+    report = checked_hypotheses(diagram, s0)
     route = report.route
     if route == "rejected":
         raise HypothesisRejected(report)
@@ -837,8 +848,9 @@ class RationalTorsionResult:
         }
 
 
-def rational_torsion_exists(entries: Sequence[int],
-                            oracle: bool = False) -> RationalTorsionResult:
+def rational_torsion_exists(entries: Sequence[int], oracle: bool = False,
+                            diagram: Optional[Diagram] = None
+                            ) -> RationalTorsionResult:
     """Order-two torsion for a standard rational diagram D(a_1..a_m).
 
     Hypotheses: no entry equal to one; a positive entry >= 3 whose
@@ -846,7 +858,8 @@ def rational_torsion_exists(entries: Sequence[int],
     negative entry has positive neighbours.  The initial state labels
     the positive boxes A and the negative boxes B; acceptance goes
     through the relaxed-hypothesis route and one certificate (all
-    subset sizes 2) is produced.
+    subset sizes 2) is produced.  `diagram` is D(a_1..a_m) if the
+    caller has built it already; it is built here otherwise.
     """
     from .diagram import rational
 
@@ -880,9 +893,10 @@ def rational_torsion_exists(entries: Sequence[int],
     if failures:
         return RationalTorsionResult(False, tuple(failures), None, None)
 
-    diagram = rational(entries)
+    if diagram is None:
+        diagram = rational(entries)
     s0 = diagram.family_negative
-    report = check_hypotheses(diagram, s0)
+    report = checked_hypotheses(diagram, s0)
     if report.route == "rejected":
         return RationalTorsionResult(False, tuple(report.failures),
                                      report, None)

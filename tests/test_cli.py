@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes and JSON round-trips."""
 
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -74,12 +76,10 @@ def test_certify_all_even_braid(capsys):
     assert degrees == [c["degrees"]["h"] for c in payload["certificates"]]
 
 
-def test_certify_all_even_sets_up_once(capsys, monkeypatch):
-    # one hypothesis check and one ladder-first reorder for all six tuples
-    import khtorsion.cli as cli
-    import khtorsion.torsion as torsion
-
-    calls = {"check_hypotheses": 0, "ladder_first": 0}
+def count_calls(monkeypatch, *names):
+    """Count the calls to each name through every khtorsion module that
+    binds it; returns the live name -> count map."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -87,10 +87,19 @@ def test_certify_all_even_sets_up_once(capsys, monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        for module in (cli, torsion):
-            monkeypatch.setattr(module, name,
-                                counted(name, getattr(module, name)))
+    modules = [m for n, m in sorted(sys.modules.items())
+               if n == "khtorsion" or n.startswith("khtorsion.")]
+    for name in names:
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    return calls
+
+
+def test_certify_all_even_sets_up_once(capsys, monkeypatch):
+    # one hypothesis check and one ladder-first reorder for all six tuples
+    calls = count_calls(monkeypatch, "check_hypotheses", "ladder_first")
     code, out, _ = run(capsys, "certify", "--all-even", "--json",
                        "--monocircular", "5,6")
     assert code == 0
@@ -141,6 +150,18 @@ def test_bound_rational_includes_existence(capsys):
     payload = json.loads(out)
     assert payload["bound"] == 5
     assert payload["torsion_exists"]["exists"] is True
+
+
+def test_bound_rational_checks_hypotheses_once(capsys, monkeypatch):
+    # cmd_bound, rational_torsion_exists and the certificate's route
+    # setup share one diagram and one hypothesis report
+    calls = count_calls(monkeypatch, "check_hypotheses", "rational")
+    code, out, _ = run(capsys, "bound", "--rational", "4,2,6", "--json")
+    assert code == 0
+    assert calls == {"check_hypotheses": 1, "rational": 1}
+    # the stdout recorded before the report was shared, byte for byte
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "80ec7fa027836f4f0345b56aee58d1edf24e0ad190e8a5098f793e2377cf5481")
 
 
 def test_pd_file_input(tmp_path, capsys):

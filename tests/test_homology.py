@@ -5,11 +5,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from khtorsion import (Chain, NotACycleError, SizeGuardError, SparseIntMatrix,
-                       class_order, differential, enumerate_states,
-                       homology_at, is_exact, khovanov_table, monocircular,
-                       parse_pd, pretzel, smith_normal_form)
+                       braid3_closure, class_order, differential,
+                       enumerate_states, homology_at, is_exact,
+                       khovanov_table, monocircular, parse_pd, pretzel,
+                       rational, smith_normal_form)
 from khtorsion.knotdata import HOPF_2, KNOT_3_1, KNOT_6_1
 
 KH_6_1_MIRROR = {
@@ -259,3 +261,88 @@ def test_table_json_shape():
         i, j = key.split(",")
         int(i), int(j)
         assert set(entry) == {"rank", "torsion"}
+
+
+
+def _matrix(rows, ncols):
+    return SparseIntMatrix(len(rows), ncols,
+                           [{c: v for c, v in enumerate(r) if v} for r in rows])
+
+
+def _complex_homology(mats):
+    """(free rank, torsion) in every degree of C^0 -> ... -> C^len(mats),
+    mats[k] being d_k, from the rank-only SNF of each matrix."""
+    snfs = [smith_normal_form(m, transforms=False) for m in mats]
+    dims = [m.ncols for m in mats] + [mats[-1].nrows]
+    ranks = [s.rank for s in snfs] + [0]
+    out = []
+    for k, dim in enumerate(dims):
+        prev = snfs[k - 1] if k else None
+        free = dim - ranks[k] - (prev.rank if prev else 0)
+        out.append((free, tuple(d for d in prev.factors if d > 1)
+                    if prev else ()))
+    return out
+
+
+@pytest.mark.parametrize("complex_, expected", [
+    # d_1: every two rows share exactly one column, so whichever unit is
+    # cancelled first, the rank-one update fills a zero; H^1 = Z2
+    ([_matrix([[2], [-2], [-2]], 1),
+      _matrix([[1, 1, 0], [1, 0, 1], [0, 1, -1]], 3),
+      _matrix([[1, -1, -1]], 3)],
+     [(0, ()), (0, (2,)), (0, ()), (0, ())]),
+    # cancelling any unit of d_0 leaves the entry 3 - 1 = 2; H^1 = Z2
+    ([_matrix([[1, 1], [1, 3], [1, 1]], 2),
+      _matrix([[1, 0, -1]], 3)],
+     [(0, ()), (0, (2,)), (0, ())]),
+])
+def test_cancel_units_hand_built(complex_, expected):
+    from khtorsion.homology import cancel_units
+    for a, b in zip(complex_, complex_[1:]):
+        assert b.matmul(a).is_zero()
+    assert _complex_homology([m.copy() for m in complex_]) == expected
+    residual = cancel_units(complex_)
+    for a, b in zip(residual, residual[1:]):
+        assert a.nrows == b.ncols
+        assert b.matmul(a).is_zero()
+    entries = [v for m in residual for row in m.rows for v in row.values()]
+    assert 2 in entries or -2 in entries
+    assert not any(v in (1, -1) for v in entries)
+    assert _complex_homology(residual) == expected
+
+
+def _entries(min_size):
+    """Nonzero twist counts with at most 8 crossings in all."""
+    return st.lists(st.integers(-4, 4).filter(bool), min_size=min_size,
+                    max_size=4).filter(lambda a: sum(map(abs, a)) <= 8)
+
+
+SMALL_DIAGRAMS = st.tuples(st.one_of(
+    _entries(1).map(pretzel),
+    _entries(1).map(rational),
+    _entries(2).map(braid3_closure),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(
+        lambda h: monocircular(*h)),
+), st.booleans()).map(lambda dm: dm[0].mirror() if dm[1] else dm[0])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(SMALL_DIAGRAMS)
+def test_reduction_against_full_snf_and_mirror_duality(d):
+    from khtorsion.homology import _snf, basis
+    n = d.n_total
+    for i in range(n + 1):
+        for j in range(-n - 2, 3 * n + 3):
+            full = _snf(d, i, j, transforms=False)
+            prev = _snf(d, i - 1, j, transforms=False)
+            assert homology_at(d, i, j) == (
+                len(basis(d, i, j)) - full.rank - prev.rank,
+                tuple(f for f in prev.factors if f > 1))
+    # Kh(mirror): free rank at (h, q) is that of Kh(D) at (-h, -q), and
+    # torsion at (h, q) is that of Kh(D) at (1 - h, -q)
+    t, tm = khovanov_table(d), khovanov_table(d.mirror())
+    hqs = set(t.hq_entries())
+    for h, q in (set(tm.hq_entries()) | {(-h, -q) for h, q in hqs}
+                 | {(1 - h, -q) for h, q in hqs}):
+        assert tm.entry_hq(h, q)[0] == t.entry_hq(-h, -q)[0]
+        assert tm.entry_hq(h, q)[1] == t.entry_hq(1 - h, -q)[1]
