@@ -22,17 +22,12 @@ def differential(diagram: Diagram, arg) -> Chain:
 
     The images of a chain's terms are summed into one coefficient map,
     so the cost is linear in the number of terms."""
+    coeffs: dict[EnhancedState, int] = {}
     if isinstance(arg, Chain):
-        coeffs: dict[EnhancedState, int] = {}
         for state, c in arg.coeffs.items():
             _add_differential(diagram, state, c, coeffs)
         return Chain(diagram, arg.i + 1, arg.j, coeffs, check=False)
-    return _differential_state(diagram, EnhancedState(*arg))
-
-
-def _differential_state(diagram: Diagram, state: EnhancedState) -> Chain:
-    coeffs: dict[EnhancedState, int] = {}
-    i, j = _add_differential(diagram, state, 1, coeffs)
+    i, j = _add_differential(diagram, EnhancedState(*arg), 1, coeffs)
     return Chain(diagram, i + 1, j, coeffs, check=False)
 
 
@@ -234,7 +229,11 @@ def boundary_matrix(diagram: Diagram, i: int, j: int,
         basis_to = enumerate_states(diagram, i + 1, j)
     index = {state: r for r, state in enumerate(basis_to)}
     mat = SparseIntMatrix(len(basis_to), len(basis_from))
+    rows = mat.rows
+    coeffs: dict[EnhancedState, int] = {}
     for col, state in enumerate(basis_from):
-        for tstate, c in _differential_state(diagram, state).coeffs.items():
-            mat.rows[index[tstate]][col] = c
+        coeffs.clear()
+        _add_differential(diagram, state, 1, coeffs)
+        for tstate, c in coeffs.items():
+            rows[index[tstate]][col] = c
     return mat

@@ -31,24 +31,12 @@ class Crossing(NamedTuple):
     edges: tuple[int, int, int, int]  # slots 0..3, CCW, slot 0 = incoming under
     sign: int  # +1 or -1
 
-    def rotated(self) -> "Crossing":
-        a, b, c, d = self.edges
-        return Crossing((c, d, a, b), self.sign)
 
-
-# Slot arithmetic used everywhere: at a crossing the strand entering at
-# slot s leaves at slot s^2; the A-smoothing joins slots (0,1) and (2,3),
-# the B-smoothing joins slots (1,2) and (3,0).
-def strand_partner(slot: int) -> int:
-    return slot ^ 2
-
-
-def a_partner(slot: int) -> int:
-    return slot ^ 1
-
-
-def b_partner(slot: int) -> int:
-    return slot ^ 3
+# Slot arithmetic used everywhere: a walk that arrives at slot s of a
+# crossing leaves through slot s ^ turn.  Turn 2 follows the strand,
+# turn 1 the A-smoothing, which joins slots (0,1) and (2,3), and turn 3
+# the B-smoothing, which joins slots (1,2) and (3,0).
+STRAND_TURN, A_TURN, B_TURN = 2, 1, 3
 
 
 class Diagram:
@@ -187,12 +175,17 @@ class Diagram:
 # ---------------------------------------------------------------------------
 
 
-def _walk_components(quads: Sequence[tuple[int, int, int, int]],
-                     ports: Mapping[int, tuple[tuple[int, int], ...]]):
-    """Trace the strands of the diagram.
+def walk_curves(quads: Sequence[tuple[int, int, int, int]],
+                ports: Mapping[int, tuple[tuple[int, int], ...]],
+                turns: Sequence[int]):
+    """Trace the closed curves through the edges of the diagram.
 
-    Yields one record per link component: the cyclic list of
-    ``(edge, arrival_port)`` pairs in an arbitrary traversal direction.
+    Arriving at slot s of crossing c, a curve leaves through slot
+    ``s ^ turns[c]`` and follows that edge to its far port.  Yields one
+    record per curve: the cyclic list of ``(edge, arrival_port)``
+    pairs.  Curves are started from the edges in ascending label
+    order, so each starts at its least edge and they come in the order
+    of their least edges.
     """
     seen: set[int] = set()
     for e0 in sorted(ports):
@@ -205,8 +198,8 @@ def _walk_components(quads: Sequence[tuple[int, int, int, int]],
             seen.add(e)
             cycle.append((e, arrive))
             c, s = arrive
-            out = (c, strand_partner(s))
-            e = quads[c][strand_partner(s)]
+            out = (c, s ^ turns[c])
+            e = quads[c][out[1]]
             p0, p1 = ports[e]
             arrive = p1 if p0 == out else p0
         yield cycle
@@ -247,7 +240,7 @@ def _finish(quads: Sequence[tuple[int, int, int, int]],
 
     components: list[tuple[int, ...]] = []
     head: dict[int, tuple[int, int]] = {}  # port each edge points into
-    for cycle in _walk_components(quads, ports):
+    for cycle in walk_curves(quads, ports, [STRAND_TURN] * len(quads)):
         votes = []
         if mode == "pd":
             # slot 0 is already the incoming under end: directed constraint

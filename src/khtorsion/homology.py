@@ -439,12 +439,13 @@ def cancel_units(complex_: list[SparseIntMatrix]) -> list[SparseIntMatrix]:
 
 def _reduced(diagram: Diagram, j: int) -> list[tuple[int, SNFResult]]:
     """For i = 0..n: the generators of C^{i,j} left after `cancel_units`
-    and the rank-only SNF of the residual d_i (cached per j).  The full
-    matrices are dropped once cancelled."""
+    and the rank-only SNF of the residual d_i (cached per j).  The bases
+    and the full matrices are not stored: they are dropped once
+    cancelled."""
     key = ("reduced", j)
     store = _cache(diagram)
     if key not in store:
-        bases = [basis(diagram, i, j)
+        bases = [enumerate_states(diagram, i, j)
                  for i in range(diagram.n_total + 1)] + [[]]
         residual = cancel_units([
             boundary_matrix(diagram, i, j, bases[i], bases[i + 1])
@@ -501,10 +502,6 @@ class KhovanovTable:
     def hq_entries(self) -> dict[tuple[int, int], tuple[int, tuple[int, ...]]]:
         return {(i - self.n, j + self.p - 2 * self.n): v
                 for (i, j), v in self.entries.items()}
-
-    def torsion_positions(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """(i, j) -> invariant factors, restricted to torsion entries."""
-        return {k: v[1] for k, v in self.entries.items() if v[1]}
 
     def has_torsion(self) -> bool:
         return any(v[1] for v in self.entries.values())

@@ -19,11 +19,10 @@ ladder.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .diagram import Diagram, reorder_crossings
+from .diagram import A_TURN, Diagram, reorder_crossings
 from .smoothing import smooth
 
 
@@ -160,8 +159,6 @@ def _rails(diagram: Diagram, steps: tuple[int, ...],
     """The two rail tracks as edge sequences (interior bigon edges plus
     the four outer end edges), chained through the pass-through
     smoothing at each step."""
-    from .diagram import a_partner
-
     def slot_of(edge: int, crossing: int) -> int:
         return next(s for (c, s) in diagram.edge_ports(edge) if c == crossing)
 
@@ -174,12 +171,12 @@ def _rails(diagram: Diagram, steps: tuple[int, ...],
     for e0 in start_edges:
         # extend backwards over the first step
         s = slot_of(e0, first)
-        back = diagram.crossings[first].edges[a_partner(s)]
+        back = diagram.crossings[first].edges[s ^ A_TURN]
         track = [back, e0]
         e = e0
         for t in range(1, len(steps)):
             s = slot_of(e, steps[t])
-            e = diagram.crossings[steps[t]].edges[a_partner(s)]
+            e = diagram.crossings[steps[t]].edges[s ^ A_TURN]
             track.append(e)
         rails.append(tuple(track))
     return tuple(rails)
@@ -290,9 +287,6 @@ class HypothesisReport:
             "s0_prime": None if self.s0_prime is None
                         else format(self.s0_prime, "x"),
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def check_hypotheses(diagram: Diagram, labels: int) -> HypothesisReport:

@@ -2,9 +2,10 @@
 
 A Kauffman state is a bitmask over the crossings of a diagram (bit set =
 B label).  Smoothing resolves every crossing according to its label; the
-resulting circles are computed by union-find over the edges, and each
-crossing leaves a scar (blue for A, red for B) whose endpoints lie on
-one or two circles.
+resulting circles are traced by walking the edges, turning at every
+crossing the way its smoothing joins the slots, and each crossing
+leaves a scar (blue for A, red for B) whose endpoints lie on one or two
+circles.
 
 An enhanced state assigns a sign to every circle; it is stored as the
 pair ``(labels, plus)`` of bitmasks, where bit c of ``plus`` is the sign
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Optional
 
-from .diagram import Diagram
+from .diagram import A_TURN, B_TURN, Diagram, walk_curves
 
 
 class SmoothingError(ValueError):
@@ -29,6 +30,9 @@ class SmoothingError(ValueError):
 
 class Smoothing:
     """The circles-and-scars picture of one Kauffman state.
+
+    The circles are the curves of `walk_curves` turning A or B at each
+    crossing; the walk meets them in the order of their least edges.
 
     Attributes:
         labels: the state bitmask (bit set = B).
@@ -45,44 +49,19 @@ class Smoothing:
 
     def __init__(self, diagram: Diagram, labels: int):
         self.labels = labels
-        parent: dict[int, int] = {e: e for e in diagram.edges}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                if rx < ry:
-                    parent[ry] = rx
-                else:
-                    parent[rx] = ry
-
-        for ci, crossing in enumerate(diagram.crossings):
-            a, b, c, d = crossing.edges
-            if labels >> ci & 1:  # B joins (1,2) and (3,0)
-                union(b, c)
-                union(d, a)
-            else:  # A joins (0,1) and (2,3)
-                union(a, b)
-                union(c, d)
-
-        roots = sorted({find(e) for e in parent})
-        index = {r: k for k, r in enumerate(roots)}
-        self.circles = len(roots)
-        self.circle_of_edge = {e: index[find(e)] for e in parent}
-        self.min_edges = tuple(roots)
-        sides = []
-        for ci, crossing in enumerate(diagram.crossings):
-            a, b, c, d = crossing.edges
-            if labels >> ci & 1:
-                sides.append((self.circle_of_edge[a], self.circle_of_edge[b]))
-            else:
-                sides.append((self.circle_of_edge[a], self.circle_of_edge[c]))
-        self.scar_sides = tuple(sides)
+        quads = [cr.edges for cr in diagram.crossings]
+        turns = [B_TURN if labels >> ci & 1 else A_TURN
+                 for ci in range(len(quads))]
+        cycles = list(walk_curves(quads, diagram._edge_ports, turns))
+        self.circles = len(cycles)
+        self.circle_of_edge = circle_of = {
+            e: k for k, cycle in enumerate(cycles) for e, _ in cycle}
+        self.min_edges = tuple(cycle[0][0] for cycle in cycles)
+        # side1 is the circle of the other joined pair: slots (1,2) under
+        # B, (2,3) under A
+        self.scar_sides = tuple(
+            (circle_of[a], circle_of[b if turn == B_TURN else c])
+            for (a, b, c, _), turn in zip(quads, turns))
 
     def is_monochord(self, crossing_index: int) -> bool:
         s0, s1 = self.scar_sides[crossing_index]
@@ -190,22 +169,20 @@ class Chain:
         self.diagram = diagram
         self.i = i
         self.j = j
+        coeffs = coeffs or {}
+        if not check:  # the keys are EnhancedStates of degree (i, j)
+            self.coeffs = {s: c for s, c in coeffs.items() if c}
+            return
         self.coeffs: dict[EnhancedState, int] = {}
-        if coeffs:
-            for state, c in coeffs.items():
-                if c == 0:
-                    continue
-                state = EnhancedState(*state)
-                if check:
-                    di, _, dj = degrees(diagram, state)
-                    if (di, dj) != (i, j):
-                        raise SmoothingError(
-                            f"state at degree ({di},{dj}) in a ({i},{j}) chain")
-                self.coeffs[state] = c
-
-    @classmethod
-    def zero(cls, diagram: Diagram, i: int, j: int) -> "Chain":
-        return cls(diagram, i, j)
+        for state, c in coeffs.items():
+            if c == 0:
+                continue
+            state = EnhancedState(*state)
+            di, _, dj = degrees(diagram, state)
+            if (di, dj) != (i, j):
+                raise SmoothingError(
+                    f"state at degree ({di},{dj}) in a ({i},{j}) chain")
+            self.coeffs[state] = c
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -259,9 +236,6 @@ class Chain:
 
     def coefficient(self, state: EnhancedState) -> int:
         return self.coeffs.get(EnhancedState(*state), 0)
-
-    def states(self) -> list[EnhancedState]:
-        return sorted(self.coeffs)
 
     def to_json(self) -> list[list]:
         return [[format(s.labels, "x"), format(s.plus, "x"), c]

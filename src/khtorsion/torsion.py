@@ -22,7 +22,6 @@ internally and the certificate records the permuted diagram.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -352,9 +351,6 @@ class TorsionCertificate:
             "flags": dict(self.flags),
             "order": self.order,
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def admissible_mu(heights: Sequence[int], mu: Sequence[int]) -> bool:
@@ -692,11 +688,11 @@ def grid(h1: int, h2: int) -> Grid:
          [(0, mu) for mu in range(1, h2, 2)]
     classes = admissible_classes(heights)
     g2 = [mu for cls in classes for mu in cls]
-    # the single monocircular coincidence: V(1,0) ~ V(0,1)
+    # the single monocircular coincidence: V(1,0) ~ V(0,1); every class
+    # of g2 is a clique of same_class, so its pairs are all merges
     merged = [((0, 1), (1, 0))]
-    merged += [(a, b) for cls in classes
-               for a, b in itertools.combinations(cls, 2)
-               if same_class(a, b, heights)]
+    merged += [pair for cls in classes
+               for pair in itertools.combinations(cls, 2)]
 
     # one class per point of g1 but (1, 0), and per class of g2, at
     # i = mu1 + mu2 + 1
@@ -798,31 +794,28 @@ def family_lower_bound(family: str, params: Sequence[int]) -> BoundReport:
 
 def admissible_classes(heights: Sequence[int]) -> list[tuple[tuple[int, ...], ...]]:
     """All admissible tuples for the given ladder heights, grouped into
-    torsion classes by the distinguishing conditions."""
+    torsion classes by the distinguishing conditions (`same_class`).
+
+    A tuple mu with exactly one coordinate t even and below h_t is
+    single-even, with class key mu + e_t; every other tuple is its own
+    key.  `same_class` pairs a single-even mu (at t1) with
+    mu + e_t1 - e_t2, single-even at t2 with the same key, and nothing
+    else; a key mu + e_t has no even coordinate below its height, so
+    it is no tuple's own key.  Each class is thus a clique of
+    `same_class`.  Classes come sorted, each by its least tuple.
+    """
     heights = tuple(heights)
-    tuples = [mu for mu in itertools.product(
-        *[range(2, h + 1) for h in heights]) if admissible_mu(heights, mu)]
-    parent = {t: t for t in tuples}
-
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    by_key: dict[int, list] = {}
-    for t in tuples:
-        by_key.setdefault(sum(t), []).append(t)
-    for group in by_key.values():
-        for a, b in itertools.combinations(sorted(group), 2):
-            if same_class(a, b, heights):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    classes: dict[tuple, list] = {}
-    for t in tuples:
-        classes.setdefault(find(t), []).append(t)
-    return [tuple(sorted(v)) for _, v in sorted(classes.items())]
+    classes: dict[tuple[int, ...], list] = {}
+    for mu in itertools.product(*[range(2, h + 1) for h in heights]):
+        low_even = [t for t, h in enumerate(heights)
+                    if mu[t] % 2 == 0 and mu[t] < h]
+        if len(low_even) == 1:
+            t = low_even[0]
+            classes.setdefault(mu[:t] + (mu[t] + 1,) + mu[t + 1:],
+                               []).append(mu)
+        elif low_even:  # admissible, alone in its class
+            classes[mu] = [mu]
+    return sorted(tuple(v) for v in classes.values())
 
 
 # ---------------------------------------------------------------------------

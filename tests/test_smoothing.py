@@ -3,10 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from khtorsion import (Chain, EnhancedState, SmoothingError, braid3_closure,
                        degrees, enumerate_states, monocircular, parse_pd,
-                       pretzel, smooth, state_B)
+                       pretzel, rational, smooth, state_B)
 from khtorsion.knotdata import HOPF_2, KNOT_3_1
 
 
@@ -113,6 +114,64 @@ def test_smooth_is_label_local():
             edges_after = {e for e, k in after.circle_of_edge.items()
                            if k == c_after}
             assert edges_before == edges_after
+
+
+def reference_circles(d, labels):
+    """The circles of a state as a plain partition of the edges: at every
+    crossing, join the two edges of each pair of slots that its smoothing
+    connects, A: (0,1), (2,3); B: (1,2), (3,0).  Returns the blocks and,
+    per crossing, the two pairs, the one holding slot 0 first."""
+    block = {e: {e} for e in d.edges}
+    pairs = []
+    for ci, cr in enumerate(d.crossings):
+        a, b, c, e = cr.edges
+        joined = ((e, a), (b, c)) if labels >> ci & 1 else ((a, b), (c, e))
+        pairs.append(joined)
+        for x, y in joined:
+            if block[x] is not block[y]:
+                merged = block[x] | block[y]
+                for z in merged:
+                    block[z] = merged
+    blocks = {frozenset(b) for b in block.values()}
+    return sorted(blocks, key=min), pairs
+
+
+def _twists(min_size):
+    return st.lists(st.integers(-3, 3).filter(bool), min_size=min_size,
+                    max_size=3).filter(lambda a: sum(map(abs, a)) <= 7)
+
+
+FAMILY_DIAGRAMS = st.tuples(st.one_of(
+    _twists(1).map(pretzel),
+    _twists(1).map(rational),
+    _twists(2).map(braid3_closure),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).map(
+        lambda h: monocircular(*h)),
+), st.booleans()).map(lambda dm: dm[0].mirror() if dm[1] else dm[0])
+
+
+def check_smoothings_against_reference(d):
+    for labels in range(1 << d.n_total):
+        sm = smooth(d, labels)
+        blocks, pairs = reference_circles(d, labels)
+        index = {e: k for k, b in enumerate(blocks) for e in b}
+        assert sm.circles == len(blocks)
+        assert sm.circle_of_edge == index
+        assert sm.min_edges == tuple(min(b) for b in blocks)
+        assert sm.scar_sides == tuple((index[p0[0]], index[p1[0]])
+                                      for p0, p1 in pairs)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(FAMILY_DIAGRAMS)
+def test_smoothing_matches_edge_partition(d):
+    check_smoothings_against_reference(d)
+
+
+@pytest.mark.parametrize("d", [pretzel([1]), pretzel([1]).mirror(),
+                               parse_pd(HOPF_2)])
+def test_smoothing_matches_edge_partition_small(d):
+    check_smoothings_against_reference(d)
 
 
 def test_mono_vs_bichord():

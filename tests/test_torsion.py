@@ -392,6 +392,37 @@ def test_admissible_classes_five_band():
     assert reps == [(2, 2, 2), (2, 2, 3), (4, 2, 2), (4, 2, 3)]
 
 
+@pytest.mark.parametrize("ladders,top", [(1, 12), (2, 10), (3, 7), (4, 5)])
+def test_admissible_classes_are_same_class_components(ladders, top):
+    for heights in itertools.product(range(2, top + 1), repeat=ladders):
+        tuples = [mu for mu in itertools.product(
+            *[range(2, h + 1) for h in heights]) if admissible_mu(heights, mu)]
+        # tuples of different sums sit in different homological degrees
+        by_sum = {}
+        for mu in tuples:
+            by_sum.setdefault(sum(mu), []).append(mu)
+        nbr = {mu: set() for mu in tuples}
+        for group in by_sum.values():
+            for a, b in itertools.combinations(group, 2):
+                if same_class(a, b, heights):
+                    nbr[a].add(b)
+                    nbr[b].add(a)
+        components, seen = [], set()
+        for mu in tuples:
+            if mu in seen:
+                continue
+            comp, stack = {mu}, [mu]
+            while stack:
+                for b in nbr[stack.pop()] - comp:
+                    comp.add(b)
+                    stack.append(b)
+            seen |= comp
+            components.append(tuple(sorted(comp)))
+        assert admissible_classes(heights) == sorted(components)
+        for comp in components:  # what grid relies on
+            assert all(b in nbr[a] for a, b in itertools.combinations(comp, 2))
+
+
 def test_rational_torsion_exists_cases():
     r = rational_torsion_exists([3, 2, -2, 2])
     assert r.exists and r.certificate is not None
