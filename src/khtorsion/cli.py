@@ -151,11 +151,10 @@ def cmd_grid(args) -> int:
 
 def cmd_bound(args) -> int:
     family, params = _family(args)
+    d = _family_diagram(family, params)
     report = family_lower_bound(family, params)
     payload = report.to_json()
-    d = None
     if report.applicable:
-        d = _family_diagram(family, params)
         s0 = d.family_negative if d.family_negative is not None else 0
         rep = checked_hypotheses(d, s0)
         if rep.route != "rejected":

@@ -11,15 +11,19 @@ small; Kh^{i,j} = ker(d_i) / im(d_{i-1}) is read off the rank-only Smith
 normal form of the residual: the free rank is dim - rank(d_i) -
 rank(d_{i-1}) and the torsion is the invariant factors of d_{i-1}.
 
-The Smith normal form is computed by fraction-free integer elimination
+Both the table and the Smith normal form eliminate units through one
+primitive, `_units`: `cancel_units` runs it on every d_k of the
+complex, `smith_normal_form` on its copy of one matrix.  What is left
+has no unit entry and is finished by fraction-free integer elimination
 with pivots chosen of smallest magnitude (ties by least fill); Python
 integers keep everything exact.
 
-The exactness oracle factors the full matrices instead, with
-transforms, because its witness is a chain of enhanced states.  `is_exact` solves d(y) = v over the
-integers using the transforms U M V = S: with b = U v the system is
-solvable iff b_t is divisible by the t-th invariant factor (and b
-vanishes beyond the rank), in which case y = V z is a witness.
+The exactness oracle factors the full matrices, with transforms,
+because its witness is a chain of enhanced states.  `is_exact` solves
+d(y) = v over the integers using the transforms U M V = S: with
+b = U v the system is solvable iff b_t is divisible by the t-th
+invariant factor (and b vanishes beyond the rank), in which case
+y = V z is a witness.
 `class_order` applies this to m v for the divisors m of the exponent
 bound (the largest invariant factor).
 """
@@ -75,14 +79,77 @@ class SNFResult:
         return s
 
 
+def _units(rows: list[dict[int, int]], cols: list[set[int]]):
+    """Cancel every +-1 entry of one matrix in place.
+
+    `rows[r]` maps column -> nonzero entry and `cols[c]` is the set of
+    rows with an entry in column c.  A unit phi = rows[r][c] is cleared
+    from its column by the row updates row_{r2} -= q row_r with
+    q = rows[r2][c] phi (phi^-1 = phi), which give the other rows the
+    rank-one update eps - gamma phi^-1 delta; then row r and column c
+    are emptied.  The pivot row is the shortest row holding a unit, and
+    its pivot the unit of the shortest column, which keeps the fill
+    small.  Yields (r, c, phi, row, updates) per pivot: `row` is the
+    pivot row without c, `updates` the (r2, q) pairs in the order made.
+    A caller must not refill a pivot row while iterating: a stale heap
+    entry could pivot it again.
+    """
+    heap = [(len(row), r) for r, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    while heap:
+        length, r = heapq.heappop(heap)
+        row = rows[r]
+        if length != len(row):
+            continue  # stale: the row changed and was pushed again
+        units = [c for c, v in row.items() if v == 1 or v == -1]
+        if not units:
+            continue
+        c = min(units, key=lambda c: len(cols[c]))
+        phi = row.pop(c)
+        for c2 in row:
+            cols[c2].discard(r)
+        cols[c].discard(r)
+        updates = []
+        for r2 in cols[c]:
+            row2 = rows[r2]
+            q = row2.pop(c) * phi
+            for c2, v in row.items():
+                x = row2.get(c2, 0) - q * v
+                if x:
+                    if c2 not in row2:
+                        cols[c2].add(r2)
+                    row2[c2] = x
+                else:
+                    del row2[c2]
+                    cols[c2].discard(r2)
+            updates.append((r2, q))
+            heapq.heappush(heap, (len(row2), r2))
+        cols[c] = set()
+        rows[r] = {}
+        yield r, c, phi, row, updates
+
+
+def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
+    """dst += q * src on sparse vectors."""
+    for k, v in src.items():
+        x = dst.get(k, 0) + q * v
+        if x:
+            dst[k] = x
+        elif k in dst:
+            del dst[k]
+
+
 def smith_normal_form(matrix: SparseIntMatrix,
                       transforms: bool = True) -> SNFResult:
     """Smith normal form of an integer matrix.
 
     Returns factors in divisibility order (each dividing the next, all
-    positive) plus unimodular U, V when `transforms` is set.  Pivots are
-    chosen of smallest magnitude with least Markowitz fill through a
-    lazily revalidated heap; rows and columns are never physically
+    positive) plus unimodular U, V when `transforms` is set.  Every +-1
+    entry is cancelled first by `_units`, the elimination that
+    `cancel_units` runs on the table complexes; U and V replay its row
+    and column updates.  The residual has no unit left and is finished
+    by Euclid's reduction, each pivot an entry of smallest magnitude
+    with least Markowitz fill.  Rows and columns are never physically
     swapped during elimination, the permutation is applied to the
     transforms at the end.
     """
@@ -96,11 +163,20 @@ def smith_normal_form(matrix: SparseIntMatrix,
     for r, row in enumerate(m.rows):
         for c in row:
             col_rows[c].add(r)
-    nnz = matrix.nnz()  # kept equal to m.nnz() by add_row and add_col
+
+    pivots: list[tuple[int, int, int]] = []  # (row, column, factor)
+    for r, c, phi, row, updates in _units(m.rows, col_rows):
+        if u is not None:
+            for r2, q in updates:
+                _axpy(u.rows[r2], u.rows[r], -q)
+            for c2, v in row.items():
+                _axpy(vcols[c2], vcols[c], -v * phi)
+            if phi < 0:
+                u.rows[r] = {c2: -x for c2, x in u.rows[r].items()}
+        pivots.append((r, c, 1))
 
     def add_row(src, dst, q):
         # row[dst] += q * row[src]
-        nonlocal nnz
         if q == 0:
             return
         rdst, rsrc = m.rows[dst], m.rows[src]
@@ -109,80 +185,36 @@ def smith_normal_form(matrix: SparseIntMatrix,
             if x:
                 if c not in rdst:
                     col_rows[c].add(dst)
-                    nnz += 1
                 rdst[c] = x
             elif c in rdst:
                 col_rows[c].discard(dst)
                 del rdst[c]
-                nnz -= 1
         if u is not None:
-            udst, usrc = u.rows[dst], u.rows[src]
-            for c, v in usrc.items():
-                x = udst.get(c, 0) + q * v
-                if x:
-                    udst[c] = x
-                elif c in udst:
-                    del udst[c]
+            _axpy(u.rows[dst], u.rows[src], q)
 
     def add_col(src, dst, q):
         # col[dst] += q * col[src]
-        nonlocal nnz
         if q == 0:
             return
         for r in list(col_rows[src]):
             row = m.rows[r]
-            v = row[src]
-            x = row.get(dst, 0) + q * v
+            x = row.get(dst, 0) + q * row[src]
             if x:
                 if dst not in row:
                     col_rows[dst].add(r)
-                    nnz += 1
                 row[dst] = x
             elif dst in row:
                 col_rows[dst].discard(r)
                 del row[dst]
-                nnz -= 1
         if vcols is not None:
-            cdst, csrc = vcols[dst], vcols[src]
-            for r, v in csrc.items():
-                x = cdst.get(r, 0) + q * v
-                if x:
-                    cdst[r] = x
-                elif r in cdst:
-                    del cdst[r]
+            _axpy(vcols[dst], vcols[src], q)
 
-    heap: list[tuple[int, int, int, int]] = []
-
-    def push_row(r):
-        row = m.rows[r]
-        if not row:
-            return
-        lr = len(row) - 1
-        for c, v in row.items():
-            heap.append((v if v > 0 else -v,
-                         lr * (len(col_rows[c]) - 1), r, c))
-
-    for r in range(nrows):
-        push_row(r)
-    heapq.heapify(heap)
-
-    done_rows: set[int] = set()
-    done_cols: set[int] = set()
-    pivots: list[tuple[int, int]] = []
-
-    while heap:
-        a, fill, pr, pc = heapq.heappop(heap)
-        if pr in done_rows or pc in done_cols:
-            continue
-        v = m.rows[pr].get(pc)
-        if v is None:
-            continue
-        key = (v if v > 0 else -v,
-               (len(m.rows[pr]) - 1) * (len(col_rows[pc]) - 1))
-        if key != (a, fill):
-            heapq.heappush(heap, (key[0], key[1], pr, pc))
-            continue
-        touched: set[int] = set()
+    live = [r for r, row in enumerate(m.rows) if row]
+    while live:
+        _, _, pr, pc = min(
+            (v if v > 0 else -v,
+             (len(m.rows[r]) - 1) * (len(col_rows[c]) - 1), r, c)
+            for r in live for c, v in m.rows[r].items())
         while True:
             pivot = m.rows[pr][pc]
             changed = False
@@ -190,7 +222,6 @@ def smith_normal_form(matrix: SparseIntMatrix,
                 if r2 == pr:
                     continue
                 add_row(pr, r2, -(m.rows[r2][pc] // pivot))
-                touched.add(r2)
                 if m.rows[r2].get(pc):
                     pr = r2  # the remainder is the smaller pivot
                     changed = True
@@ -210,72 +241,45 @@ def smith_normal_form(matrix: SparseIntMatrix,
                 continue
             if len(m.rows[pr]) == 1 and len(col_rows[pc]) == 1:
                 break
-        if m.rows[pr][pc] < 0:
-            m.rows[pr][pc] = -m.rows[pr][pc]
+        pivot = m.rows[pr].pop(pc)
+        col_rows[pc].clear()
+        if pivot < 0:
+            pivot = -pivot
             if u is not None:
                 u.rows[pr] = {c: -v for c, v in u.rows[pr].items()}
-        done_rows.add(pr)
-        done_cols.add(pc)
-        pivots.append((pr, pc))
-        for r2 in touched:
-            if r2 not in done_rows:
-                push_row(r2)
-        # keep the heap from degenerating on repeated stale pushes
-        if len(heap) > 8 * (nnz + 1):
-            live = [(vv if vv > 0 else -vv,
-                     (len(m.rows[r]) - 1) * (len(col_rows[c]) - 1), r, c)
-                    for r in range(nrows) if r not in done_rows
-                    for c, vv in m.rows[r].items() if c not in done_cols]
-            heap.clear()
-            heap.extend(live)
-            heapq.heapify(heap)
+        pivots.append((pr, pc, pivot))
+        live = [r for r in live if m.rows[r]]
 
-    factors = [m.rows[r][c] for r, c in pivots]
+    factors = [d for _, _, d in pivots]
+    if u is not None:
+        # permute the pivots onto the leading diagonal
+        done_rows = {r for r, _, _ in pivots}
+        done_cols = {c for _, c, _ in pivots}
+        u = SparseIntMatrix(nrows, nrows, [u.rows[r] for r, _, _ in pivots]
+                            + [u.rows[r] for r in range(nrows)
+                               if r not in done_rows])
+        vcols = ([vcols[c] for _, c, _ in pivots]
+                 + [vcols[c] for c in range(ncols) if c not in done_cols])
 
-    if not transforms:
-        # refine the diagonal multiset into invariant factors
-        changed = True
-        while changed:
-            changed = False
-            for t in range(len(factors) - 1):
-                a, b = factors[t], factors[t + 1]
-                if b % a:
-                    g = math.gcd(a, b)
-                    factors[t], factors[t + 1] = g, a // g * b
-                    changed = True
-        factors.sort()
-        return SNFResult(None, None, factors, nrows, ncols)
-
-    # permute the pivots onto the leading diagonal
-    row_order = [r for r, _ in pivots] +         [r for r in range(nrows) if r not in done_rows]
-    col_order = [c for _, c in pivots] +         [c for c in range(ncols) if c not in done_cols]
-    m2 = SparseIntMatrix(nrows, ncols)
-    for t, (r, c) in enumerate(pivots):
-        m2.rows[t][t] = m.rows[r][c]
-    m = m2
-    col_rows = [set([t]) if t < len(pivots) else set()
-                for t in range(ncols)]
-    u = SparseIntMatrix(nrows, nrows, [u.rows[r] for r in row_order])
-    vcols = [vcols[c] for c in col_order]
-
-    # enforce divisibility d_t | d_{t+1} on the (now) diagonal matrix
+    # enforce divisibility d_t | d_{t+1} on the diagonal
     changed = True
     while changed:
         changed = False
         for t in range(len(factors) - 1):
-            a, b = m.rows[t].get(t, 0), m.rows[t + 1].get(t + 1, 0)
+            a, b = factors[t], factors[t + 1]
             if b % a == 0:
                 continue
             changed = True
-            g = math.gcd(a, b)
-            # R_t += R_{t+1}; columns (t, t+1) <- the gcd combination;
-            # then R_{t+1} -= (b y / g) R_t.
-            _, x, y = _xgcd(a, b)
-            add_row(t + 1, t, 1)
-            _col_gcd_step(m, vcols, col_rows, t, t + 1, a, b, x, y)
-            q = m.rows[t + 1].get(t, 0) // m.rows[t][t]
-            add_row(t, t + 1, -q)
-    factors = [m.rows[t][t] for t in range(len(pivots))]
+            g, x, y = _xgcd(a, b)
+            factors[t], factors[t + 1] = g, a // g * b
+            if u is not None:
+                # on diag(a, b): R_t += R_{t+1}; columns (t, t+1) <- the
+                # gcd combination; then R_{t+1} -= (b y / g) R_t
+                _axpy(u.rows[t], u.rows[t + 1], 1)
+                _col_gcd_step(vcols, t, t + 1, a // g, b // g, x, y)
+                _axpy(u.rows[t + 1], u.rows[t], -(b // g * y))
+    if u is None:
+        return SNFResult(None, None, factors, nrows, ncols)
 
     v = SparseIntMatrix(ncols, ncols)
     for c, col in enumerate(vcols):
@@ -297,36 +301,23 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _col_gcd_step(m, vcols, col_rows, c1, c2, a, b, x, y):
-    """Columns (c1, c2) <- (x c1 + y c2, -(b/g) c1 + (a/g) c2).
+def _col_gcd_step(vcols, c1, c2, a, b, x, y):
+    """Columns (c1, c2) <- (x c1 + y c2, -b c1 + a c2) for coprime a, b
+    with a x + b y = 1.
 
-    The transform [[x, -b/g], [y, a/g]] has determinant 1.
+    The transform [[x, -b], [y, a]] has determinant 1.
     """
-    g = math.gcd(a, b)
-    for r in list(col_rows[c1] | col_rows[c2]):
-        row = m.rows[r]
-        v1, v2 = row.get(c1, 0), row.get(c2, 0)
+    w1, w2 = {}, {}
+    for r in set(vcols[c1]) | set(vcols[c2]):
+        v1 = vcols[c1].get(r, 0)
+        v2 = vcols[c2].get(r, 0)
         n1 = x * v1 + y * v2
-        n2 = -(b // g) * v1 + (a // g) * v2
-        for c, nv in ((c1, n1), (c2, n2)):
-            if nv:
-                col_rows[c].add(r)
-                row[c] = nv
-            else:
-                col_rows[c].discard(r)
-                row.pop(c, None)
-    if vcols is not None:
-        w1, w2 = {}, {}
-        for r in set(vcols[c1]) | set(vcols[c2]):
-            v1 = vcols[c1].get(r, 0)
-            v2 = vcols[c2].get(r, 0)
-            n1 = x * v1 + y * v2
-            n2 = -(b // g) * v1 + (a // g) * v2
-            if n1:
-                w1[r] = n1
-            if n2:
-                w2[r] = n2
-        vcols[c1], vcols[c2] = w1, w2
+        n2 = -b * v1 + a * v2
+        if n1:
+            w1[r] = n1
+        if n2:
+            w2[r] = n2
+    vcols[c1], vcols[c2] = w1, w2
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +371,7 @@ def cancel_units(complex_: list[SparseIntMatrix]) -> list[SparseIntMatrix]:
     d_k gets the rank-one update eps - gamma phi^-1 delta, row c of
     d_{k-1} and column r of d_{k+1} go.  One pass in increasing k
     suffices: cancelling in d_{k+1} only deletes rows of d_k, which has
-    no unit left by then.  Within d_k the pivot row is the shortest row
-    holding a unit, and its pivot the unit of the shortest column,
-    which keeps the fill of the updates small.
+    no unit left by then.  The pivots are those of `_units`.
     """
     gone: list[set[int]] = [set() for _ in range(len(complex_) + 1)]
     for k, mat in enumerate(complex_):
@@ -394,36 +383,7 @@ def cancel_units(complex_: list[SparseIntMatrix]) -> list[SparseIntMatrix]:
                     del row[c]
             for c in row:
                 cols[c].add(r)
-        heap = [(len(row), r) for r, row in enumerate(rows) if row]
-        heapq.heapify(heap)
-        while heap:
-            length, r = heapq.heappop(heap)
-            row = rows[r]
-            if length != len(row):
-                continue  # stale: the row changed and was pushed again
-            units = [c for c, v in row.items() if v == 1 or v == -1]
-            if not units:
-                continue
-            c = min(units, key=lambda c: len(cols[c]))
-            phi = row.pop(c)
-            for c2 in row:
-                cols[c2].discard(r)
-            cols[c].discard(r)
-            for r2 in cols[c]:
-                row2 = rows[r2]
-                q = row2.pop(c) * phi  # phi^-1 = phi for a unit
-                for c2, v in row.items():
-                    x = row2.get(c2, 0) - q * v
-                    if x:
-                        if c2 not in row2:
-                            cols[c2].add(r2)
-                        row2[c2] = x
-                    else:
-                        del row2[c2]
-                        cols[c2].discard(r2)
-                heapq.heappush(heap, (len(row2), r2))
-            cols[c] = set()
-            rows[r] = {}
+        for r, c, _, _, _ in _units(rows, cols):
             gone[k].add(c)
             gone[k + 1].add(r)
     residual = []

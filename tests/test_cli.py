@@ -1,10 +1,13 @@
 """CLI subcommands, exit codes and JSON round-trips."""
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from khtorsion.cli import main
 from khtorsion.knotdata import HOPF_2
@@ -193,9 +196,58 @@ def test_ladder_first_order_flag(capsys):
     # empty diagram sources
     (("table", "--pretzel", ""), 2),
     (("table", "--pd-inline", ""), 2),
+    # family parameters that no constructor accepts
+    (("bound", "--pretzel", ""), 2),
+    (("bound", "--rational", "0"), 2),
+    (("bound", "--braid3", "0,0"), 2),
+    (("bound", "--braid3", "7"), 2),
 ])
 def test_bad_input_exit_code_without_traceback(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert code == expected
     assert "Traceback" not in out + err
     assert err.startswith("rejected: " if expected == 3 else "error: ")
+
+
+# at most about 6 crossings; the fixed lists make diagrams that pass
+# the ladder hypotheses, so some certificates are built
+_PARAMS = st.one_of(
+    st.lists(st.integers(-4, 4), max_size=4).filter(
+        lambda a: sum(map(abs, a)) <= 6).map(
+        lambda a: ",".join(map(str, a))),
+    st.sampled_from(("2,3", "3,3", "4,-2,2")))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(("table", "certify", "bound", "grid")))
+    if command == "grid":
+        return [command] + [str(draw(st.integers(-1, 6))) for _ in "12"]
+    families = ("pretzel", "braid3", "rational")
+    if command != "bound":
+        families += ("monocircular",)
+    argv = [command, f"--{draw(st.sampled_from(families))}", draw(_PARAMS)]
+    if command != "bound" and draw(st.booleans()):
+        argv.append("--mirror")
+    if command == "table" and draw(st.booleans()):
+        argv.append(f"--limit={draw(st.integers(-1, 8))}")
+    if command == "certify":
+        if draw(st.booleans()):
+            argv += ["--state", draw(st.sampled_from(
+                ("sA", "signed", "0", "3", "ff", "", "x")))]
+        argv += (["--all-even"] if draw(st.booleans())
+                 else ["--mu", draw(_PARAMS)])
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -1,6 +1,5 @@
 """Smith normal form, homology tables, exactness oracle."""
 
-import heapq
 import math
 import random
 
@@ -108,32 +107,39 @@ def dense_snf_factors(rows):
     return factors
 
 
-def test_snf_large_sparse_against_dense_reference(monkeypatch):
-    # 40x40 with three entries per row is large enough for the stale heap
-    # entries to trigger the heap rebuild in smith_normal_form
-    heapify = heapq.heapify
-    calls = []
+def _boundary_rows():
+    """The nonzero boundary matrices d_i of 3_1, 6_1 and P(-1,3), dense."""
+    from khtorsion.homology import matrix_d
+    for d in (parse_pd(KNOT_3_1), parse_pd(KNOT_6_1), pretzel([-1, 3])):
+        n = d.n_total
+        for i in range(n):
+            for j in range(-n - 2, 3 * n + 3):
+                m = matrix_d(d, i, j)
+                if m.nnz():
+                    yield m.to_dense()
 
-    def counting_heapify(h):
-        calls.append(len(h))
-        heapify(h)
 
-    monkeypatch.setattr(heapq, "heapify", counting_heapify)
+def test_snf_large_sparse_against_dense_reference():
+    # 40x40 with three entries per row, most of them not units, and the
+    # unit-heavy boundary matrices, which the dense reference factors
+    # without the unit elimination of smith_normal_form
     rng = random.Random(3)
-    count = 20
-    for _ in range(count):
+    inputs = []
+    for _ in range(20):
         rows = [[0] * 40 for _ in range(40)]
         for row in rows:
             for c in rng.sample(range(40), 3):
                 row[c] = rng.choice((1, -1, 2, -2, 3, -3, 4))
+        inputs.append(rows)
+    inputs.extend(_boundary_rows())
+    assert len(inputs) == 20 + 7 + 25 + 13
+    for rows in inputs:
         m = dense(rows)
         plain = smith_normal_form(m, transforms=False)
         full = smith_normal_form(m, transforms=True)
         assert plain.factors == full.factors == dense_snf_factors(rows)
         prod = full.u.matmul(m).matmul(full.v)
         assert prod.to_dense() == full.s_matrix().to_dense()
-    # one heapify per call, the rest are rebuilds
-    assert len(calls) > 2 * count
 
 
 def test_unknot_kink_homology():
