@@ -209,20 +209,21 @@ def test_bad_input_exit_code_without_traceback(capsys, argv, expected):
     assert err.startswith("rejected: " if expected == 3 else "error: ")
 
 
-# at most about 6 crossings; the fixed lists make diagrams that pass
-# the ladder hypotheses, so some certificates are built
+# at most about 6 crossings; the fixed lists pass the ladder hypotheses
+# as braid3, rational and monocircular parameters, so some certificates
+# are built
 _PARAMS = st.one_of(
     st.lists(st.integers(-4, 4), max_size=4).filter(
         lambda a: sum(map(abs, a)) <= 6).map(
         lambda a: ",".join(map(str, a))),
-    st.sampled_from(("2,3", "3,3", "4,-2,2")))
+    st.sampled_from(("2,3", "3,3", "3,2")))
 
 
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(("table", "certify", "bound", "grid")))
     if command == "grid":
-        return [command] + [str(draw(st.integers(-1, 6))) for _ in "12"]
+        return [command] + [str(draw(st.integers(-1, 6))) for _ in range(2)]
     families = ("pretzel", "braid3", "rational")
     if command != "bound":
         families += ("monocircular",)
