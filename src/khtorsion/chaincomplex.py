@@ -7,6 +7,14 @@ follow the usual rules: mergings (+,+) -> +, (+,-) -> -, (-,+) -> -, and
 nothing on (-,-); splittings + -> (+,-) + (-,+) and - -> (-,-).  Each
 term carries the sign (-1)^k, where k counts the B-labels at crossings
 ordered before x.
+
+Everything but the signs of the circles depends only on the Kauffman
+state: which edges of the cube leave it, whether each merges or splits,
+and where the untouched circles go.  `_cube_edges` builds that table
+once per state and `_add_differential` applies it to a sign mask; it is
+the one place where the merge/split rule lives.  Only the table of the
+last state is kept, since every caller walks its states in runs of
+equal labels (bases are sorted by labels).
 """
 
 from __future__ import annotations
@@ -17,78 +25,98 @@ from .diagram import Diagram
 from .smoothing import Chain, EnhancedState, degrees, enumerate_states, smooth
 
 
+def _cache(diagram: Diagram) -> dict:
+    """The diagram's store of derived data: bases, matrices, SNFs, route
+    setups and the last cube-edge table."""
+    if diagram._solver is None:
+        diagram._solver = {}
+    return diagram._solver
+
+
 def differential(diagram: Diagram, arg) -> Chain:
     """d of an enhanced state or of a chain (extended linearly).
 
     The images of a chain's terms are summed into one coefficient map,
     so the cost is linear in the number of terms."""
-    coeffs: dict[EnhancedState, int] = {}
+    coeffs: dict[tuple[int, int], int] = {}
     if isinstance(arg, Chain):
         for state, c in arg.coeffs.items():
             _add_differential(diagram, state, c, coeffs)
-        return Chain(diagram, arg.i + 1, arg.j, coeffs, check=False)
-    i, j = _add_differential(diagram, EnhancedState(*arg), 1, coeffs)
-    return Chain(diagram, i + 1, j, coeffs, check=False)
+        i, j = arg.i, arg.j
+    else:
+        i, j = _add_differential(diagram, arg, 1, coeffs)
+    return Chain(diagram, i + 1, j,
+                 {EnhancedState._make(s): c for s, c in coeffs.items()},
+                 check=False)
 
 
-def _add_differential(diagram: Diagram, state: EnhancedState, scale: int,
-                      coeffs: dict) -> tuple[int, int]:
-    """Add scale * d(state) into coeffs; returns the (i, j) of the state."""
-    labels, plus = state
-    i = bin(labels).count("1")
+def _cube_edges(diagram: Diagram, labels: int) -> tuple:
+    """The cube edges leaving the Kauffman state `labels`.
+
+    Returns (i, circles, edges) with one edge per A-labelled crossing x,
+    in increasing x: (new_labels, odd, merge, b0, b1, t0, t1, moves).
+    odd is the parity of the B labels before x; b0, b1 are the bits of
+    the circles the scar touches (side0, side1) and t0, t1 those of the
+    circles it touches after the change; moves holds the (source bit,
+    target bit) pairs of the untouched circles.  The table of the last
+    state asked for is kept in the diagram's store.
+    """
+    store = _cache(diagram)
+    last = store.get("edges")
+    if last is not None and last[0] == labels:
+        return last[1]
     sm = smooth(diagram, labels)
-    j = i + 2 * bin(plus).count("1") - sm.circles
+    edges = []
     k = 0  # number of B labels before the current crossing
     for x in range(diagram.n_total):
         if labels >> x & 1:
             k += 1
             continue
         side0, side1 = sm.scar_sides[x]
-        sign = -scale if k & 1 else scale
         new_labels = labels | (1 << x)
         tm = smooth(diagram, new_labels)
-        if side0 != side1:  # merging
-            s0 = plus >> side0 & 1
-            s1 = plus >> side1 & 1
-            if not s0 and not s1:
-                continue  # (-,-) kills the term
-            merged_plus = _transfer_signs(sm, tm, plus)
-            target = tm.scar_sides[x][0]
-            if s0 and s1:
-                merged_plus |= 1 << target
+        c0, c1 = tm.scar_sides[x]
+        circle_of = tm.circle_of_edge
+        moves = [(1 << c, 1 << circle_of[e])
+                 for c, e in enumerate(sm.min_edges)
+                 if c != side0 and c != side1]
+        edges.append((new_labels, k & 1, side0 != side1, 1 << side0,
+                      1 << side1, 1 << c0, 1 << c1, moves))
+    table = (bin(labels).count("1"), sm.circles, edges)
+    store["edges"] = (labels, table)
+    return table
+
+
+def _add_differential(diagram: Diagram, state, scale: int,
+                      coeffs: dict) -> tuple[int, int]:
+    """Add scale * d(state) into coeffs; returns the (i, j) of the state.
+
+    The keys added are plain (labels, plus) tuples, which hash and
+    compare equal to the `EnhancedState` of the same pair."""
+    labels, plus = state
+    i, circles, edges = _cube_edges(diagram, labels)
+    for new_labels, odd, merge, b0, b1, t0, t1, moves in edges:
+        if merge and not plus & (b0 | b1):
+            continue  # (-,-) kills the term
+        base = 0
+        for src, dst in moves:
+            if plus & src:
+                base |= dst
+        if merge:  # (+,+) -> +, (+,-) and (-,+) -> -
+            targets = (base | t0,) if plus & b0 and plus & b1 else (base,)
+        elif plus & b0:  # + -> (+,-) + (-,+)
+            targets = (base | t0, base | t1)
+        else:  # - -> (-,-)
+            targets = (base,)
+        sign = -scale if odd else scale
+        for t in targets:
+            key = (new_labels, t)
+            v = coeffs.get(key, 0) + sign
+            if v:
+                coeffs[key] = v
             else:
-                merged_plus &= ~(1 << target)
-            _add(coeffs, EnhancedState(new_labels, merged_plus), sign)
-        else:  # splitting
-            c0, c1 = tm.scar_sides[x]
-            base_plus = _transfer_signs(sm, tm, plus) & ~(1 << c0) & ~(1 << c1)
-            if plus >> side0 & 1:  # + -> (+,-) + (-,+)
-                _add(coeffs, EnhancedState(new_labels, base_plus | (1 << c0)), sign)
-                _add(coeffs, EnhancedState(new_labels, base_plus | (1 << c1)), sign)
-            else:  # - -> (-,-)
-                _add(coeffs, EnhancedState(new_labels, base_plus), sign)
-    return i, j
-
-
-def _transfer_signs(sm, tm, plus: int) -> int:
-    """Carry the signs of the untouched circles from sm to tm.
-
-    Circles are matched through a shared edge; the one or two circles
-    touched by the change crossing are overwritten by the caller.
-    """
-    out = 0
-    for c, min_edge in enumerate(sm.min_edges):
-        if plus >> c & 1:
-            out |= 1 << tm.circle_of_edge[min_edge]
-    return out
-
-
-def _add(coeffs: dict, state: EnhancedState, value: int) -> None:
-    v = coeffs.get(state, 0) + value
-    if v:
-        coeffs[state] = v
-    else:
-        coeffs.pop(state, None)
+                del coeffs[key]
+    return i, i + 2 * bin(plus).count("1") - circles
 
 
 def incidence(diagram: Diagram, s, t) -> int:
@@ -220,8 +248,9 @@ def boundary_matrix(diagram: Diagram, i: int, j: int,
                     ) -> SparseIntMatrix:
     """Matrix of d_i : C^{i,j} -> C^{i+1,j} in the canonical bases.
 
-    Built column by column from the differential of each basis state;
-    column s, row t holds the incidence number i(s, t).
+    Column s, row t holds the incidence number i(s, t).  The columns
+    are filled by `_add_differential`, which reads the cube-edge table
+    of each Kauffman state once for the run of basis states sharing it.
     """
     if basis_from is None:
         basis_from = enumerate_states(diagram, i, j)
@@ -230,7 +259,7 @@ def boundary_matrix(diagram: Diagram, i: int, j: int,
     index = {state: r for r, state in enumerate(basis_to)}
     mat = SparseIntMatrix(len(basis_to), len(basis_from))
     rows = mat.rows
-    coeffs: dict[EnhancedState, int] = {}
+    coeffs: dict[tuple[int, int], int] = {}
     for col, state in enumerate(basis_from):
         coeffs.clear()
         _add_differential(diagram, state, 1, coeffs)

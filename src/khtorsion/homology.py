@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .chaincomplex import SparseIntMatrix, boundary_matrix, differential
+from .chaincomplex import SparseIntMatrix, _cache, boundary_matrix, differential
 from .diagram import Diagram
 from .smoothing import Chain, EnhancedState, enumerate_states, smooth
 
@@ -323,12 +323,6 @@ def _col_gcd_step(vcols, c1, c2, a, b, x, y):
 # ---------------------------------------------------------------------------
 # cached per-diagram linear algebra
 # ---------------------------------------------------------------------------
-
-
-def _cache(diagram: Diagram) -> dict:
-    if diagram._solver is None:
-        diagram._solver = {}
-    return diagram._solver
 
 
 def basis(diagram: Diagram, i: int, j: int) -> list[EnhancedState]:

@@ -25,9 +25,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .chaincomplex import _add_differential, differential
+from .chaincomplex import _add_differential, _cache, differential
 from .diagram import Diagram
-from .homology import _cache, class_order, is_exact
+from .homology import class_order, is_exact
 from .ladders import (HypothesisReport, Ladder, break_ladders,
                       check_hypotheses, detect_ladders, ladder_first)
 from .smoothing import Chain, EnhancedState, enumerate_states, smooth
@@ -123,7 +123,7 @@ def state_sum(diagram: Diagram, s0: int, ladders: Sequence[Ladder],
         if not 0 < mu <= ladder.height:
             raise TorsionError(
                 f"subset size {mu} out of range for a height-{ladder.height} ladder")
-    coeffs: dict[EnhancedState, int] = {}
+    coeffs: dict[tuple[int, int], int] = {}
     degree = None
     choices = [itertools.combinations(range(l.height), mu)
                for l, mu in zip(ladders, sizes)]
@@ -275,7 +275,7 @@ def verify_evenness(module: EvenModule, diagram: Diagram) -> bool:
     enhanced-state generator Y of C^{i-1,j}; linearity does the rest."""
     if not module.basis:
         return True
-    coeffs: dict[EnhancedState, int] = {}
+    coeffs: dict[tuple[int, int], int] = {}
     for y in enumerate_states(diagram, module.i - 1, module.j):
         coeffs.clear()
         _add_differential(diagram, y, 1, coeffs)

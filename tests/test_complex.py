@@ -3,9 +3,12 @@
 import itertools
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from khtorsion import (Chain, EnhancedState, boundary_matrix, braid3_closure,
                        differential, enumerate_states, incidence,
-                       monocircular, parse_pd, pretzel, smooth)
+                       khovanov_table, monocircular, parse_pd, pretzel,
+                       rational, reorder_crossings, smooth)
 from khtorsion.knotdata import HOPF_2, KNOT_3_1
 
 
@@ -140,3 +143,58 @@ def test_unknot_kink_matrix_dimensions():
     d = pretzel([1])
     m = boundary_matrix(d, 0, 1)
     assert (m.nrows, m.ncols) == (2, 1)
+
+
+def test_differential_keys_are_enhanced_states():
+    # Chain.to_json and repr read .labels and .plus off every key, for a
+    # state argument (EnhancedState or plain pair) and a chain argument
+    d = monocircular(2, 2)
+    n = d.n_total
+    seen = 0
+    for i in range(n):
+        for j in range(-n - 2, 2 * n + 3):
+            for s in enumerate_states(d, i, j):
+                for arg in (s, tuple(s), Chain(d, i, j, {s: 2})):
+                    out = differential(d, arg)
+                    assert all(type(t) is EnhancedState for t in out.coeffs)
+                    assert len(out.to_json()) == len(out)
+                    repr(out)
+                    seen += len(out)
+    assert seen
+
+
+def _twists(min_size):
+    """Nonzero twist counts with at most 6 crossings in all."""
+    return st.lists(st.integers(-3, 3).filter(bool), min_size=min_size,
+                    max_size=3).filter(lambda a: sum(map(abs, a)) <= 6)
+
+
+FAMILY_DIAGRAMS = st.tuples(st.one_of(
+    _twists(1).map(pretzel),
+    _twists(1).map(rational),
+    _twists(2).map(braid3_closure),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).map(
+        lambda h: monocircular(*h)),
+), st.booleans()).map(lambda dm: dm[0].mirror() if dm[1] else dm[0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(FAMILY_DIAGRAMS, st.randoms(use_true_random=False))
+def test_boundary_matrices_against_incidence_over_families(d, rnd):
+    # every boundary matrix against the entry-by-entry incidence matrix,
+    # d o d = 0 at every (i, j), and the table under a crossing reorder
+    perm = list(range(d.n_total))
+    rnd.shuffle(perm)
+    e = reorder_crossings(d, perm)
+    n = e.n_total
+    top = max(smooth(e, labels).circles for labels in range(1 << n))
+    for j in range(-top, n + top + 1):
+        for i in range(-1, n + 1):
+            src = enumerate_states(e, i, j)
+            dst = enumerate_states(e, i + 1, j)
+            m = boundary_matrix(e, i, j)
+            assert (m.nrows, m.ncols) == (len(dst), len(src))
+            assert m.to_dense() == [[incidence(e, s, t) for s in src]
+                                    for t in dst]
+            assert boundary_matrix(e, i + 1, j).matmul(m).is_zero()
+    assert khovanov_table(e) == khovanov_table(d)

@@ -134,6 +134,23 @@ def test_handmade_module_with_odd_projection_fails_evenness():
     assert not verify_evenness(bad, d)
 
 
+def test_verify_evenness_verdicts_on_certificate_modules():
+    # the certificate modules of D(3,6) and P(5,-3,2,3,-2) are even, and
+    # dropping any one basis state leaves an odd projection
+    for d, s0, tuples in ((monocircular(3, 6), 0, [(2, 2), (2, 4), (2, 6)]),
+                          (pretzel([5, -3, 2, 3, -2]), None,
+                           [(2, 2, 2), (4, 2, 2)])):
+        s0 = d.family_negative if s0 is None else s0
+        for mu in tuples:
+            cert = certify_torsion(d, s0, mu)
+            module = build_even_module(cert.diagram, [cert.generator.labels])
+            assert verify_evenness(module, cert.diagram)
+            for b in sorted(module.basis):
+                smaller = EvenModule(cert.diagram, module.base_states,
+                                     module.basis - {b}, module.i, module.j)
+                assert not verify_evenness(smaller, cert.diagram), (mu, b)
+
+
 def test_certify_not_exact_modes():
     d = monocircular(3, 6)
     ls = detect_ladders(d, 0)
@@ -439,16 +456,20 @@ def test_rational_torsion_exists_cases():
     assert not r.exists
 
 
-def test_grid_counts_match_homology_torsion_for_3_6():
+def test_grid_counts_match_homology_torsion_census():
     # the grid's per-degree class counts against the actual integral
-    # homology of D(3,6): any discrepancy would flag torsion beyond the
-    # two patterns
+    # homology of every D(h1, h2) with 2 <= h1 <= h2 and h1 + h2 <= 10:
+    # any discrepancy would flag torsion beyond the two patterns
     from khtorsion import khovanov_table
-    d = monocircular(3, 6)
-    table = khovanov_table(d)
-    per_i = {}
-    for (i, j), (_, tors) in table.entries.items():
-        per_i[i] = per_i.get(i, 0) + len(tors)
-    g = grid(3, 6)
-    for i in range(1, 10):
-        assert per_i.get(i, 0) == g.count_at(i)
+    checked = 0
+    for h1 in range(2, 6):
+        for h2 in range(h1, 11 - h1):
+            table = khovanov_table(monocircular(h1, h2))
+            per_i = {}
+            for (i, j), (_, tors) in table.entries.items():
+                per_i[i] = per_i.get(i, 0) + len(tors)
+            g = grid(h1, h2)
+            for i in set(per_i) | set(range(1, len(g.counts) + 1)):
+                assert per_i.get(i, 0) == g.count_at(i), (h1, h2, i)
+            checked += 1
+    assert checked == 16
