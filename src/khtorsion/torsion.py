@@ -123,7 +123,7 @@ def state_sum(diagram: Diagram, s0: int, ladders: Sequence[Ladder],
         if not 0 < mu <= ladder.height:
             raise TorsionError(
                 f"subset size {mu} out of range for a height-{ladder.height} ladder")
-    coeffs: dict[tuple[int, int], int] = {}
+    coeffs: dict[EnhancedState, int] = {}
     degree = None
     choices = [itertools.combinations(range(l.height), mu)
                for l, mu in zip(ladders, sizes)]
