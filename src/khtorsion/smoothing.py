@@ -19,7 +19,7 @@ j = i + theta.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .diagram import A_TURN, B_TURN, Diagram, walk_curves
 
@@ -124,16 +124,22 @@ def enumerate_states(diagram: Diagram, i: int, j: int) -> list[EnhancedState]:
     """
     if i < 0 or i > diagram.n_total:
         return []
-    out = []
-    for labels in _masks_with_popcount(diagram.n_total, i):
-        sm = smooth(diagram, labels)
-        theta = j - i
-        two_plus = sm.circles + theta
-        if two_plus < 0 or two_plus % 2 or two_plus > 2 * sm.circles:
+    states = _masks_with_popcount(diagram.n_total, i)
+    return list(_enhancements(diagram, states, i, j))
+
+
+def _enhancements(diagram: Diagram, states: Iterable[int], i: int,
+                  j: int) -> Iterator[EnhancedState]:
+    """The enhanced states of degree (i, j) over the given Kauffman
+    states, each of which has i B labels: states in the order given,
+    then sign bitmask ascending."""
+    for labels in states:
+        circles = smooth(diagram, labels).circles
+        two_plus = circles + j - i
+        if two_plus < 0 or two_plus % 2 or two_plus > 2 * circles:
             continue
-        for plus in _masks_with_popcount(sm.circles, two_plus // 2):
-            out.append(EnhancedState(labels, plus))
-    return out
+        for plus in _masks_with_popcount(circles, two_plus // 2):
+            yield EnhancedState(labels, plus)
 
 
 def _masks_with_popcount(width: int, k: int) -> Iterator[int]:

@@ -30,7 +30,7 @@ from .diagram import Diagram
 from .homology import class_order, is_exact
 from .ladders import (HypothesisReport, Ladder, break_ladders,
                       check_hypotheses, detect_ladders, ladder_first)
-from .smoothing import Chain, EnhancedState, enumerate_states, smooth
+from .smoothing import Chain, EnhancedState, _enhancements, smooth
 
 
 class TorsionError(ValueError):
@@ -271,12 +271,21 @@ def build_even_module(diagram: Diagram, base_states: Iterable[int]) -> EvenModul
 
 
 def verify_evenness(module: EvenModule, diagram: Diagram) -> bool:
-    """Brute-force check that epsilon(pi_M(d Y)) is even for every
-    enhanced-state generator Y of C^{i-1,j}; linearity does the rest."""
-    if not module.basis:
-        return True
+    """Check that epsilon(pi_M(d Y)) is even for every enhanced-state
+    generator Y of C^{i-1,j}; linearity does the rest.
+
+    The differential turns one A label of Y into B, so pi_M(d Y) can be
+    nonzero only when Y sits one B label below the labels L of a basis
+    state: Y.labels = L ^ (1 << x) for a B label x of L.  Every other Y
+    projects to 0, which is even, so only those Kauffman states are
+    walked (ascending, each with all its sign masks of degree (i-1, j)).
+    The verdict is that of the walk over all of C^{i-1,j}.
+    """
+    below = sorted({labels ^ (1 << x) for labels, _ in module.basis
+                    if bin(labels).count("1") == module.i
+                    for x in range(diagram.n_total) if labels >> x & 1})
     coeffs: dict[tuple[int, int], int] = {}
-    for y in enumerate_states(diagram, module.i - 1, module.j):
+    for y in _enhancements(diagram, below, module.i - 1, module.j):
         coeffs.clear()
         _add_differential(diagram, y, 1, coeffs)
         if sum(c for s, c in coeffs.items() if s in module.basis) % 2:
@@ -440,10 +449,13 @@ def certify_torsion(diagram: Diagram, s0: int, mu: Sequence[int],
 
     mu has one entry per periphery-one ladder (on the corollary route
     the periphery-two ladders are turned red beforehand and take no mu).
-    `verify_even` brute-forces the evenness of the certificate module;
-    `oracle` additionally confirms the order through the integral
-    exactness oracle.  Certificates of one diagram and state share one
-    ladder-first diagram (see `route_setup`).
+    `verify_even` checks the evenness of the certificate module on the
+    generators of C^{i-1,j} one B label below its basis, the only ones
+    whose differential can reach it, so the verdict is that of a walk
+    over the whole degree (see `verify_evenness`); `oracle` additionally
+    confirms the order through the integral exactness oracle.
+    Certificates of one diagram and state share one ladder-first diagram
+    (see `route_setup`).
     """
     report, d2, perm, s0_new, ladders = route_setup(diagram, s0)
     mu = tuple(int(m) for m in mu)
@@ -491,7 +503,7 @@ def certify_torsion(diagram: Diagram, s0: int, mu: Sequence[int],
     if verify_even:
         flags["even_module_verified"] = verify_evenness(module, d2)
         if not flags["even_module_verified"]:
-            raise TorsionError("even module failed the brute-force check")
+            raise TorsionError("even module failed the evenness check")
 
     i0, s1_circles, i, j = _v_degree(d2, s0_new, ladders, mu)
     if (v.i, v.j) != (i, j):

@@ -4,7 +4,6 @@ import contextlib
 import hashlib
 import io
 import json
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,30 +78,9 @@ def test_certify_all_even_braid(capsys):
     assert degrees == [c["degrees"]["h"] for c in payload["certificates"]]
 
 
-def count_calls(monkeypatch, *names):
-    """Count the calls to each name through every khtorsion module that
-    binds it; returns the live name -> count map."""
-    calls = dict.fromkeys(names, 0)
-
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    modules = [m for n, m in sorted(sys.modules.items())
-               if n == "khtorsion" or n.startswith("khtorsion.")]
-    for name in names:
-        for module in modules:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name,
-                                    counted(name, getattr(module, name)))
-    return calls
-
-
-def test_certify_all_even_sets_up_once(capsys, monkeypatch):
+def test_certify_all_even_sets_up_once(capsys, count_calls):
     # one hypothesis check and one ladder-first reorder for all six tuples
-    calls = count_calls(monkeypatch, "check_hypotheses", "ladder_first")
+    calls = count_calls("check_hypotheses", "ladder_first")
     code, out, _ = run(capsys, "certify", "--all-even", "--json",
                        "--monocircular", "5,6")
     assert code == 0
@@ -155,10 +133,10 @@ def test_bound_rational_includes_existence(capsys):
     assert payload["torsion_exists"]["exists"] is True
 
 
-def test_bound_rational_checks_hypotheses_once(capsys, monkeypatch):
+def test_bound_rational_checks_hypotheses_once(capsys, count_calls):
     # cmd_bound, rational_torsion_exists and the certificate's route
     # setup share one diagram and one hypothesis report
-    calls = count_calls(monkeypatch, "check_hypotheses", "rational")
+    calls = count_calls("check_hypotheses", "rational")
     code, out, _ = run(capsys, "bound", "--rational", "4,2,6", "--json")
     assert code == 0
     assert calls == {"check_hypotheses": 1, "rational": 1}

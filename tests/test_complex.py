@@ -5,10 +5,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from khtorsion import (Chain, EnhancedState, boundary_matrix, braid3_closure,
-                       differential, enumerate_states, incidence,
-                       khovanov_table, monocircular, parse_pd, pretzel,
-                       rational, reorder_crossings, smooth)
+from conftest import family_diagrams
+from khtorsion import (Chain, EnhancedState, boundary_matrix, differential,
+                       enumerate_states, incidence, khovanov_table,
+                       monocircular, parse_pd, pretzel, reorder_crossings,
+                       smooth)
 from khtorsion.knotdata import HOPF_2, KNOT_3_1
 
 
@@ -163,23 +164,8 @@ def test_differential_keys_are_enhanced_states():
     assert seen
 
 
-def _twists(min_size):
-    """Nonzero twist counts with at most 6 crossings in all."""
-    return st.lists(st.integers(-3, 3).filter(bool), min_size=min_size,
-                    max_size=3).filter(lambda a: sum(map(abs, a)) <= 6)
-
-
-FAMILY_DIAGRAMS = st.tuples(st.one_of(
-    _twists(1).map(pretzel),
-    _twists(1).map(rational),
-    _twists(2).map(braid3_closure),
-    st.tuples(st.integers(1, 3), st.integers(1, 3)).map(
-        lambda h: monocircular(*h)),
-), st.booleans()).map(lambda dm: dm[0].mirror() if dm[1] else dm[0])
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(FAMILY_DIAGRAMS, st.randoms(use_true_random=False))
+@given(family_diagrams(6), st.randoms(use_true_random=False))
 def test_boundary_matrices_against_incidence_over_families(d, rnd):
     # every boundary matrix against the entry-by-entry incidence matrix,
     # d o d = 0 at every (i, j), and the table under a crossing reorder

@@ -4,13 +4,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
+from conftest import family_diagrams
 from khtorsion import (Chain, NotACycleError, SizeGuardError, SparseIntMatrix,
-                       braid3_closure, class_order, differential,
-                       enumerate_states, homology_at, is_exact,
-                       khovanov_table, monocircular, parse_pd, pretzel,
-                       rational, smith_normal_form)
+                       class_order, differential, enumerate_states,
+                       homology_at, is_exact, khovanov_table, monocircular,
+                       parse_pd, pretzel, smith_normal_form, smooth)
 from khtorsion.knotdata import HOPF_2, KNOT_3_1, KNOT_6_1
 
 KH_6_1_MIRROR = {
@@ -196,6 +196,25 @@ def test_euler_characteristic_consistency():
         assert chi_dim == chi_rank
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(family_diagrams(7))
+def test_euler_characteristic_against_kauffman_bracket(d):
+    # sum_i (-1)^i rank Kh^{i,j} is the q^j coefficient of the state sum
+    # sum_s (-1)^|s| q^|s| (q + 1/q)^circles(s), read off `smooth` alone
+    bracket = {}
+    for labels in range(1 << d.n_total):
+        i = bin(labels).count("1")
+        circles = smooth(d, labels).circles
+        for k in range(circles + 1):
+            j = i + circles - 2 * k
+            bracket[j] = bracket.get(j, 0) + (-1) ** i * math.comb(circles, k)
+    chi = {}
+    for (i, j), (rank, _) in khovanov_table(d).entries.items():
+        chi[j] = chi.get(j, 0) + (-1) ** i * rank
+    assert {j: c for j, c in chi.items() if c} == \
+        {j: c for j, c in bracket.items() if c}
+
+
 def test_size_guard():
     d = pretzel([1] * 19)
     with pytest.raises(SizeGuardError):
@@ -317,19 +336,7 @@ def test_cancel_units_hand_built(complex_, expected):
     assert _complex_homology(residual) == expected
 
 
-def _entries(min_size):
-    """Nonzero twist counts with at most 8 crossings in all."""
-    return st.lists(st.integers(-4, 4).filter(bool), min_size=min_size,
-                    max_size=4).filter(lambda a: sum(map(abs, a)) <= 8)
-
-
-SMALL_DIAGRAMS = st.tuples(st.one_of(
-    _entries(1).map(pretzel),
-    _entries(1).map(rational),
-    _entries(2).map(braid3_closure),
-    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(
-        lambda h: monocircular(*h)),
-), st.booleans()).map(lambda dm: dm[0].mirror() if dm[1] else dm[0])
+SMALL_DIAGRAMS = family_diagrams(8, twist=4, bands=4, height=4)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

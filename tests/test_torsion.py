@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -13,9 +14,10 @@ from khtorsion import (EnhancedState, EvenModuleError, HypothesisRejected,
                        detect_ladders, differential, enumerate_states,
                        family_lower_bound, grid, is_exact, mono_vs_mono,
                        monocircular, monocircular_V, parse_pd, pretzel,
-                       rational, rational_torsion_exists, same_class, smooth,
-                       state_sum, verify_dX_2V, verify_evenness)
-from khtorsion.torsion import EvenModule
+                       rational, rational_torsion_exists, same_class,
+                       signed_state, smooth, state_sum, verify_dX_2V,
+                       verify_evenness)
+from khtorsion.torsion import EvenModule, checked_hypotheses
 
 
 # ---- state sums -----------------------------------------------------------
@@ -149,6 +151,88 @@ def test_verify_evenness_verdicts_on_certificate_modules():
                 smaller = EvenModule(cert.diagram, module.base_states,
                                      module.basis - {b}, module.i, module.j)
                 assert not verify_evenness(smaller, cert.diagram), (mu, b)
+
+
+def _certificates():
+    """Every all-even certificate of D(3,6), P(5,-3,2,3,-2) (signed),
+    braid3(7,2) and rational(4,2,6) (signed), and of their mirrors at the
+    signed state or at the complement of the state, where accepted, each
+    with a flag that says whether it is of a mirror."""
+    for d, signed in ((monocircular(3, 6), False),
+                      (pretzel([5, -3, 2, 3, -2]), True),
+                      (braid3_closure([7, 2]), False),
+                      (rational([4, 2, 6]), True)):
+        s0 = 0
+        if signed:
+            s0 = (d.family_negative if d.family_negative is not None
+                  else signed_state(d))
+        m = d.mirror()
+        for e, s in ((d, s0), (m, signed_state(m)),
+                     (m, ((1 << d.n_total) - 1) ^ s0)):
+            report = checked_hypotheses(e, s)
+            if report.route == "rejected":
+                continue
+            for mu in all_even_tuples(report.mu_heights()):
+                yield e is m, certify_torsion(e, s, mu)
+
+
+def test_verify_evenness_equals_full_walk():
+    # the reference walks every generator Y of C^{i-1,j}
+    rnd = random.Random(9)
+    verdicts = []
+    mirrors = 0
+    for mirrored, cert in _certificates():
+        mirrors += mirrored
+        d = cert.diagram
+        module = build_even_module(d, [cert.generator.labels])
+        i, j, basis = module.i, module.j, module.basis
+        images = [differential(d, y) for y in enumerate_states(d, i - 1, j)]
+        same_degree = enumerate_states(d, i, j)
+        # a state of C^{i+-2,j+-2} in the image of a generator y: no Y of
+        # C^{i-1,j} reaches it, but y's labels have the parity of i-1
+        y = next(y for k in (2, -2)
+                 for y in enumerate_states(d, i + k - 1, j + k)
+                 if differential(d, y).coeffs)
+        stray = min(differential(d, y).coeffs)
+        variants = [basis, basis | {stray}]
+        variants += [basis - {b} for b in sorted(basis)]
+        variants += [basis | set(rnd.sample(same_degree, k)) for k in (1, 2, 3)]
+        modules = [EvenModule(d, module.base_states, frozenset(v), i, j)
+                   for v in variants]
+        # basis labels that are not the base states
+        modules.append(EvenModule(d, frozenset({cert.s0}),
+                                  basis - {min(basis)}, i, j))
+        for m in modules:
+            full = all(m.projection_sum(img) % 2 == 0 for img in images)
+            assert verify_evenness(m, d) == full, (cert.mu, sorted(m.basis))
+            verdicts.append(full)
+    assert mirrors and True in verdicts and False in verdicts
+
+
+def test_verify_evenness_walks_one_label_below_the_basis(count_calls):
+    # one _add_differential call per generator of C^{i-1,j} one B label
+    # below a basis state, a small part of the whole degree
+    calls = count_calls("_add_differential")
+    walked = total = 0
+    for d, s0, tuples in ((monocircular(3, 6), 0, [(2, 2), (2, 4), (2, 6)]),
+                          (pretzel([5, -3, 2, 3, -2]), None,
+                           [(2, 2, 2), (4, 2, 2)])):
+        s0 = d.family_negative if s0 is None else s0
+        for mu in tuples:
+            cert = certify_torsion(d, s0, mu)
+            e = cert.diagram
+            module = build_even_module(e, [cert.generator.labels])
+            labels = {s.labels for s in module.basis}
+            full = enumerate_states(e, module.i - 1, module.j)
+            near = [y for y in full
+                    if any(y.labels | 1 << x in labels
+                           for x in range(e.n_total) if not y.labels >> x & 1)]
+            before = calls["_add_differential"]
+            assert verify_evenness(module, e)
+            assert calls["_add_differential"] - before == len(near), mu
+            walked += len(near)
+            total += len(full)
+    assert 100 * walked < total, (walked, total)
 
 
 def test_certify_not_exact_modes():
