@@ -196,7 +196,8 @@ def test_verify_evenness_equals_full_walk():
         stray = min(differential(d, y).coeffs)
         variants = [basis, basis | {stray}]
         variants += [basis - {b} for b in sorted(basis)]
-        variants += [basis | set(rnd.sample(same_degree, k)) for k in (1, 2, 3)]
+        variants += [basis | set(rnd.sample(same_degree, k))
+                     for k in (1, 2, 3)]
         modules = [EvenModule(d, module.base_states, frozenset(v), i, j)
                    for v in variants]
         # basis labels that are not the base states
@@ -225,8 +226,9 @@ def test_verify_evenness_walks_one_label_below_the_basis(count_calls):
             labels = {s.labels for s in module.basis}
             full = enumerate_states(e, module.i - 1, module.j)
             near = [y for y in full
-                    if any(y.labels | 1 << x in labels
-                           for x in range(e.n_total) if not y.labels >> x & 1)]
+                    if any(y.labels | (1 << x) in labels
+                           for x in range(e.n_total)
+                           if not y.labels >> x & 1)]
             before = calls["_add_differential"]
             assert verify_evenness(module, e)
             assert calls["_add_differential"] - before == len(near), mu
