@@ -11,8 +11,8 @@ order-two torsion chains (`torsion`).
 """
 
 from .diagram import (Crossing, Diagram, DiagramError, braid3_closure,
-                      diagram_stats, monocircular, parse_pd, pretzel,
-                      rational, reorder_crossings)
+                      monocircular, parse_pd, pretzel, rational,
+                      reorder_crossings)
 from .smoothing import (Chain, EnhancedState, Smoothing, SmoothingError,
                         degrees, enumerate_states, signed_state, smooth,
                         state_A, state_B)
@@ -47,8 +47,8 @@ __all__ = [
     "build_even_module", "certify_not_exact", "certify_torsion",
     "chain_V", "chain_X", "check_hypotheses", "class_order",
     "compare_with_monocircular", "degrees", "detect_ladders",
-    "diagram_stats", "differential", "enumerate_states",
-    "family_lower_bound", "grid", "homology_at", "incidence", "is_exact",
+    "differential", "enumerate_states", "family_lower_bound", "grid",
+    "homology_at", "incidence", "is_exact",
     "khovanov_table", "ladder_first_permutation", "mono_vs_mono",
     "monocircular", "monocircular_V", "parse_pd", "periphery_number",
     "pretzel", "rational", "rational_torsion_exists", "reorder_crossings",

@@ -182,9 +182,6 @@ class SparseIntMatrix:
         self.ncols = ncols
         self.rows = rows if rows is not None else [dict() for _ in range(nrows)]
 
-    def __getitem__(self, rc: tuple[int, int]) -> int:
-        return self.rows[rc[0]].get(rc[1], 0)
-
     def set(self, r: int, c: int, v: int) -> None:
         if v:
             self.rows[r][c] = v
@@ -231,15 +228,6 @@ class SparseIntMatrix:
 
     def to_dense(self) -> list[list[int]]:
         return [[row.get(c, 0) for c in range(self.ncols)] for row in self.rows]
-
-    def dump_coordinate(self) -> str:
-        """Coordinate-list text format: header `rows cols nnz`, then one
-        `i j value` line per entry (1-based indices)."""
-        lines = [f"{self.nrows} {self.ncols} {self.nnz()}"]
-        for r, row in enumerate(self.rows):
-            for c in sorted(row):
-                lines.append(f"{r + 1} {c + 1} {row[c]}")
-        return "\n".join(lines)
 
 
 def boundary_matrix(diagram: Diagram, i: int, j: int,

@@ -616,11 +616,6 @@ def braid3_closure(exponents: Sequence[int]) -> Diagram:
     return b.finish()
 
 
-def diagram_stats(diagram: Diagram) -> tuple[int, int, int]:
-    """(p, n, w) of the diagram."""
-    return diagram.stats()
-
-
 def reorder_crossings(diagram: Diagram, permutation: Sequence[int]) -> Diagram:
     """Same diagram with crossings reordered.
 

@@ -391,11 +391,11 @@ def cancel_units(complex_: list[SparseIntMatrix]) -> list[SparseIntMatrix]:
     return residual
 
 
-def _reduced(diagram: Diagram, j: int) -> list[tuple[int, SNFResult]]:
-    """For i = 0..n: the generators of C^{i,j} left after `cancel_units`
-    and the rank-only SNF of the residual d_i (cached per j).  The bases
-    and the full matrices are not stored: they are dropped once
-    cancelled."""
+def _reduced(diagram: Diagram, j: int) -> list[SNFResult]:
+    """For i = 0..n: the rank-only SNF of the residual d_i left by
+    `cancel_units` (cached per j); its `ncols` counts the generators of
+    C^{i,j} that survive.  The bases and the full matrices are not
+    stored: they are dropped once cancelled."""
     key = ("reduced", j)
     store = _cache(diagram)
     if key not in store:
@@ -405,8 +405,8 @@ def _reduced(diagram: Diagram, j: int) -> list[tuple[int, SNFResult]]:
             boundary_matrix(diagram, i, j, bases[i], bases[i + 1])
             for i in range(diagram.n_total + 1)])
         store[key] = [
-            (m.ncols, smith_normal_form(m, transforms=False) if m.nnz()
-             else SNFResult(None, None, [], m.nrows, m.ncols))
+            smith_normal_form(m, transforms=False) if m.nnz()
+            else SNFResult(None, None, [], m.nrows, m.ncols)
             for m in residual]
     return store[key]
 
@@ -416,14 +416,13 @@ def homology_at(diagram: Diagram, i: int, j: int) -> tuple[int, tuple[int, ...]]
     off the unit-cancelled complex at quantum degree j."""
     reduced = _reduced(diagram, j)
 
-    def at(k: int) -> tuple[int, SNFResult]:
+    def at(k: int) -> SNFResult:
         if 0 <= k < len(reduced):
             return reduced[k]
-        return 0, SNFResult(None, None, [], 0, 0)
+        return SNFResult(None, None, [], 0, 0)
 
-    dim, snf = at(i)
-    _, prev = at(i - 1)
-    free = dim - snf.rank - prev.rank
+    snf, prev = at(i), at(i - 1)
+    free = snf.ncols - snf.rank - prev.rank
     torsion = tuple(d for d in prev.factors if d > 1)
     return free, torsion
 
@@ -513,11 +512,8 @@ def khovanov_table(diagram: Diagram,
         m = smooth(diagram, labels).circles
         for plus_count in range(m + 1):
             support.add((i, i + 2 * plus_count - m))
-    entries = {}
-    for (i, j) in sorted(support):
-        free, torsion = homology_at(diagram, i, j)
-        if free or torsion:
-            entries[(i, j)] = (free, torsion)
+    entries = {(i, j): homology_at(diagram, i, j)
+               for (i, j) in sorted(support)}
     p, n, _ = diagram.stats()
     return KhovanovTable(entries, p, n)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .diagram import A_TURN, Diagram, reorder_crossings
+from .diagram import Diagram, reorder_crossings
 from .smoothing import smooth
 
 
@@ -34,17 +34,16 @@ class LadderError(ValueError):
 class Ladder:
     """A maximal run of parallel blue scars.
 
-    steps: crossing indices ordered along the rails, starting from the
+    steps: crossing indices ordered along the ladder, starting from the
         end with the minimal crossing index.
     gap_edges: for each consecutive step pair, the two bigon edges
         between them.
-    rails: the two edge tracks joined by the steps (interior bigon
-        edges chained through the A-smoothing, plus the outer ends).
+    periphery_number: 1 or 2, counted with every ladder of the state
+        cut (see `periphery_number`).
     """
 
     steps: tuple[int, ...]
     gap_edges: tuple[frozenset[int], ...]
-    rails: tuple[tuple[int, ...], tuple[int, ...]]
     periphery_number: int
 
     @property
@@ -105,11 +104,9 @@ def detect_ladders(diagram: Diagram, labels: int) -> tuple[Ladder, ...]:
         raw.append((tuple(steps), tuple(gaps)))
         for s in steps:
             cut_mask |= 1 << s
-    ladders = []
-    for steps, gaps in raw:
-        rails = _rails(diagram, steps, gaps)
-        periphery = _periphery(diagram, labels | cut_mask, steps)
-        ladders.append(Ladder(steps, gaps, rails, periphery))
+    ladders = [Ladder(steps, gaps,
+                      _periphery(diagram, labels | cut_mask, steps))
+               for steps, gaps in raw]
     ladders.sort(key=lambda l: min(l.steps))
     return tuple(ladders)
 
@@ -152,34 +149,6 @@ def _path_order(comp: list[int], nbr: dict[int, list[int]]) -> list[int]:
         prev, cur = cur, nxt[0]
         order.append(cur)
     return order
-
-
-def _rails(diagram: Diagram, steps: tuple[int, ...],
-           gaps: tuple[frozenset[int], ...]):
-    """The two rail tracks as edge sequences (interior bigon edges plus
-    the four outer end edges), chained through the pass-through
-    smoothing at each step."""
-    def slot_of(edge: int, crossing: int) -> int:
-        return next(s for (c, s) in diagram.edge_ports(edge) if c == crossing)
-
-    first = steps[0]
-    if len(steps) == 1:
-        q = diagram.crossings[first].edges
-        return ((q[0], q[1]), (q[2], q[3]))
-    start_edges = sorted(gaps[0])
-    rails = []
-    for e0 in start_edges:
-        # extend backwards over the first step
-        s = slot_of(e0, first)
-        back = diagram.crossings[first].edges[s ^ A_TURN]
-        track = [back, e0]
-        e = e0
-        for t in range(1, len(steps)):
-            s = slot_of(e, steps[t])
-            e = diagram.crossings[steps[t]].edges[s ^ A_TURN]
-            track.append(e)
-        rails.append(tuple(track))
-    return tuple(rails)
 
 
 def _periphery(diagram: Diagram, cut_labels: int, steps: tuple[int, ...]) -> int:

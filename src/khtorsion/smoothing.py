@@ -34,8 +34,10 @@ class Smoothing:
     The circles are the curves of `walk_curves` turning A or B at each
     crossing; the walk meets them in the order of their least edges.
 
+    The state bitmask itself is not kept: `smooth` caches smoothings by
+    it.
+
     Attributes:
-        labels: the state bitmask (bit set = B).
         circles: number of circles.
         circle_of_edge: edge label -> canonical circle index.
         min_edges: canonical circle index -> minimal edge label on it.
@@ -44,11 +46,9 @@ class Smoothing:
             joined pair containing slot 0.
     """
 
-    __slots__ = ("labels", "circles", "circle_of_edge", "min_edges",
-                 "scar_sides")
+    __slots__ = ("circles", "circle_of_edge", "min_edges", "scar_sides")
 
     def __init__(self, diagram: Diagram, labels: int):
-        self.labels = labels
         quads = [cr.edges for cr in diagram.crossings]
         turns = [B_TURN if labels >> ci & 1 else A_TURN
                  for ci in range(len(quads))]

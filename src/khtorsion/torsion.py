@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .chaincomplex import _add_differential, _cache, differential
 from .diagram import Diagram
-from .homology import class_order, is_exact
+from .homology import class_order
 from .ladders import (HypothesisReport, Ladder, break_ladders,
                       check_hypotheses, detect_ladders, ladder_first)
 from .smoothing import Chain, EnhancedState, _enhancements, smooth
@@ -453,7 +453,9 @@ def certify_torsion(diagram: Diagram, s0: int, mu: Sequence[int],
     generators of C^{i-1,j} one B label below its basis, the only ones
     whose differential can reach it, so the verdict is that of a walk
     over the whole degree (see `verify_evenness`); `oracle` additionally
-    confirms the order through the integral exactness oracle.
+    confirms the order through the integral exactness oracle: one
+    `class_order` query, from which the flags that V is not exact
+    (order != 1) and that 2V is exact (order 1 or 2) are read.
     Certificates of one diagram and state share one ladder-first diagram
     (see `route_setup`).
     """
@@ -511,14 +513,13 @@ def certify_torsion(diagram: Diagram, s0: int, mu: Sequence[int],
             f"degree formula mismatch: V at ({v.i},{v.j}), expected ({i},{j})")
     p, n, _ = d2.stats()
     if oracle:
-        exact_v, _ = is_exact(v)
-        exact_2v, _ = is_exact(2 * v)
-        flags["oracle_not_exact"] = not exact_v
-        flags["oracle_2v_exact"] = exact_2v
-        flags["oracle_order"] = class_order(v)
-        if flags["oracle_order"] != 2:
-            raise TorsionError(
-                f"oracle disagrees: class order {flags['oracle_order']}")
+        order = class_order(v)
+        flags["oracle_not_exact"] = order != 1
+        # 2V is exact iff the order divides 2; class_order then tests m = 2
+        flags["oracle_2v_exact"] = order in (1, 2)
+        flags["oracle_order"] = order
+        if order != 2:
+            raise TorsionError(f"oracle disagrees: class order {order}")
     return TorsionCertificate(
         diagram=d2, permutation=perm, route=report.route, s0=s0_new, mu=mu,
         heights=heights, i0=i0, s1_circles=s1_circles,
@@ -853,7 +854,7 @@ class RationalTorsionResult:
         }
 
 
-def rational_torsion_exists(entries: Sequence[int], oracle: bool = False,
+def rational_torsion_exists(entries: Sequence[int],
                             diagram: Optional[Diagram] = None
                             ) -> RationalTorsionResult:
     """Order-two torsion for a standard rational diagram D(a_1..a_m).
@@ -877,13 +878,8 @@ def rational_torsion_exists(entries: Sequence[int], oracle: bool = False,
     def pos(idx):
         return 0 <= idx < m and entries[idx] > 0
 
-    big_ok = any(
-        entries[j] >= 3 and
-        (pos(j - 1) if j > 0 else True) and
-        (pos(j + 1) if j < m - 1 else True) and
-        (j > 0 or m == 1 or pos(1)) and
-        (j < m - 1 or m == 1 or pos(m - 2))
-        for j in range(m))
+    big_ok = any(entries[j] >= 3 and (j == 0 or pos(j - 1))
+                 and (j == m - 1 or pos(j + 1)) for j in range(m))
     if not big_ok:
         failures.append(
             "no entry >= 3 surrounded by positive entries")
@@ -906,5 +902,5 @@ def rational_torsion_exists(entries: Sequence[int], oracle: bool = False,
         return RationalTorsionResult(False, tuple(report.failures),
                                      report, None)
     mu = (2,) * len(report.mu_heights())
-    cert = certify_torsion(diagram, s0, mu, oracle=oracle)
+    cert = certify_torsion(diagram, s0, mu)
     return RationalTorsionResult(True, (), report, cert)

@@ -2,9 +2,8 @@
 
 import pytest
 
-from khtorsion import (DiagramError, braid3_closure, diagram_stats,
-                       monocircular, parse_pd, pretzel, rational,
-                       reorder_crossings)
+from khtorsion import (DiagramError, braid3_closure, monocircular,
+                       parse_pd, pretzel, rational, reorder_crossings)
 from khtorsion.knotdata import HOPF_2, KNOT_6_1
 
 
@@ -59,8 +58,8 @@ def test_knot_atlas_6_1_stats():
     assert d.n_total == 6
     assert len(d.components) == 1
     # orientation-propagation over the code: 2 positive, 4 negative
-    assert diagram_stats(d) == (2, 4, -2)
-    assert diagram_stats(d.mirror()) == (4, 2, 2)
+    assert d.stats() == (2, 4, -2)
+    assert d.mirror().stats() == (4, 2, 2)
 
 
 def test_pretzel_hopf():
@@ -70,7 +69,7 @@ def test_pretzel_hopf():
 
 
 def test_pretzel_8_2_star_stats():
-    assert diagram_stats(pretzel([-1, -1, -1, 6])) == (6, 3, 3)
+    assert pretzel([-1, -1, -1, 6]).stats() == (6, 3, 3)
 
 
 def test_pretzel_five_band_size():
@@ -105,7 +104,7 @@ def test_rational_zero_entry():
 def test_braid3_closure_stats():
     d = braid3_closure([7, 2])
     assert d.n_total == 9
-    assert diagram_stats(d) == (9, 0, 9)
+    assert d.stats() == (9, 0, 9)
     assert braid3_closure([2, 2]).n_total == 4
     assert braid3_closure([3, -2, 2, 2]).n_total == 9
 

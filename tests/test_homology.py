@@ -258,6 +258,7 @@ def test_class_order_free_generator():
         assert differential(d, v).is_zero()
         order = class_order(v)
         assert order in (1, math.inf)
+        assert is_exact(2 * v)[0] == (order in (1, 2))
         if order == math.inf:
             found = order
     assert found == math.inf
@@ -275,6 +276,7 @@ def test_exactness_vs_order_equivalences():
                     continue
                 exact, _ = is_exact(v)
                 assert exact and class_order(v) == 1
+                assert is_exact(2 * v)[0] == (class_order(v) in (1, 2))
 
 
 def test_table_json_shape():

@@ -292,6 +292,17 @@ def test_certificate_oracle_and_json():
     assert payload["order"] == 2
 
 
+def test_certificate_oracle_flags_from_one_order_query(count_calls):
+    # the flags are read off class_order(V), which solves for V and 2V;
+    # they must agree with direct exactness queries
+    calls = count_calls("is_exact")
+    cert = certify_torsion(monocircular(3, 6), 0, (2, 2), oracle=True)
+    assert calls["is_exact"] == 2
+    v = cert.chain_v
+    assert cert.flags["oracle_not_exact"] == (not is_exact(v)[0])
+    assert cert.flags["oracle_2v_exact"] == is_exact(2 * v)[0]
+
+
 def test_certify_rejects_hopf_pretzel():
     with pytest.raises(HypothesisRejected) as err:
         certify_torsion(pretzel([-1, 3]), 0, (2, 2))
@@ -540,6 +551,22 @@ def test_rational_torsion_exists_cases():
     # must be positive; -2 next to the 4 disqualifies it
     r = rational_torsion_exists([3, -2, 4])
     assert not r.exists
+    # single entries and the ends of the chain: an end entry has one
+    # neighbour, which must be positive
+    r = rational_torsion_exists([5])
+    assert not r.exists and r.report.route == "rejected"
+    assert r.failures == (
+        "ladder(s) with periphery number two at steps [1, 2, 3, 4, 5]",
+        "no ladder with periphery number one and height >= 3")
+    for entries in ([2], [3, -2], [-2, 3]):
+        r = rational_torsion_exists(entries)
+        assert not r.exists and r.report is None
+        assert r.failures == (
+            "no entry >= 3 surrounded by positive entries",), entries
+    for entries in ([3, 2], [2, 3], [2, 2, 3]):
+        r = rational_torsion_exists(entries)
+        assert r.exists and r.failures == (), entries
+        assert r.report.route == "theorem"
 
 
 def test_grid_counts_match_homology_torsion_census():
