@@ -1,15 +1,15 @@
 """Integer Khovanov homology: unit cancellation, then Smith normal form.
 
-The table is computed one quantum degree j at a time.  The complex
-C^{*,j} is assembled in full and every +-1 entry phi = d_i[r][c] is
-cancelled by the Gaussian-elimination lemma (Bar-Natan, *Fast Khovanov
-homology computations*): generator c of C^i and generator r of C^{i+1}
-are dropped, d_i gets the rank-one update eps - gamma phi^-1 delta, and
-d_{i-1} and d_{i+1} lose the matching row and column.  The result is
-homotopy equivalent to C^{*,j} and has no unit entries left, so it is
-small; Kh^{i,j} = ker(d_i) / im(d_{i-1}) is read off the rank-only Smith
-normal form of the residual: the free rank is dim - rank(d_i) -
-rank(d_{i-1}) and the torsion is the invariant factors of d_{i-1}.
+The table is computed one quantum degree j at a time, in one pass over
+d_0, d_1, ... of C^{*,j}.  Every +-1 entry phi = d_i[r][c] is cancelled
+by the Gaussian-elimination lemma (Bar-Natan, *Fast Khovanov homology
+computations*): generator c of C^i and generator r of C^{i+1} are
+dropped, d_i gets the rank-one update eps - gamma phi^-1 delta, d_{i-1}
+loses row c and d_{i+1} column r, which is thus never assembled.  The
+residual is homotopy equivalent to C^{*,j} and has no unit entry, so it
+is small; Kh^{i,j} = ker(d_i) / im(d_{i-1}) is read off its rank-only
+Smith normal form: the free rank is dim - rank(d_i) - rank(d_{i-1}) and
+the torsion is the invariant factors of d_{i-1}.
 
 Both the table and the Smith normal form eliminate units through one
 primitive, `_units`: `cancel_units` runs it on every d_k of the
@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .chaincomplex import SparseIntMatrix, _cache, boundary_matrix, differential
 from .diagram import Diagram
@@ -352,62 +352,62 @@ def _snf(diagram: Diagram, i: int, j: int, transforms: bool) -> SNFResult:
     return store[key]
 
 
-def cancel_units(complex_: list[SparseIntMatrix]) -> list[SparseIntMatrix]:
-    """Cancel every +-1 entry of a chain complex (Gaussian elimination).
+def cancel_units(assemble: Callable[..., SparseIntMatrix],
+                 length: int) -> list[SparseIntMatrix]:
+    """Cancel every +-1 entry of the chain complex d_0, ..., d_{length-1}
+    in one pass of increasing k (Gaussian elimination).
 
-    `complex_[k]` is d_k : C^k -> C^{k+1}, rows indexing C^{k+1}, so the
-    row count of d_k is the column count of d_{k+1}.  The matrices are
-    consumed.  Returns the residual differentials of a homotopy
-    equivalent complex with no unit entry; their rows and columns are
-    the surviving generators, in their original order.
+    d_k : C^k -> C^{k+1} has rows indexing C^{k+1}.  `assemble(k, keep)`
+    returns d_k on the columns `keep` of C^k, in order (None: all): the
+    generators that d_{k-1} left.  Returns the residual differentials
+    of a homotopy equivalent complex with no unit entry; their rows and
+    columns are the surviving generators, in their original order.
 
     A unit phi = d_k[r][c] drops generator c of C^k and r of C^{k+1}:
     d_k gets the rank-one update eps - gamma phi^-1 delta, row c of
-    d_{k-1} and column r of d_{k+1} go.  One pass in increasing k
-    suffices: cancelling in d_{k+1} only deletes rows of d_k, which has
-    no unit left by then.  The pivots are those of `_units`.
+    d_{k-1} and column r of d_{k+1} go, and nothing else changes, so
+    column r is never assembled.  The pivots are those of `_units`.
     """
-    gone: list[set[int]] = [set() for _ in range(len(complex_) + 1)]
-    for k, mat in enumerate(complex_):
-        rows, dead = mat.rows, gone[k]
+    residual: list[SparseIntMatrix] = []
+    keep = prev = None  # C^k that d_{k-1} left; d_{k-1}, column renumbering
+    for k in range(length + 1):
+        # C^{length+1} = 0: the last step only finishes d_{length-1}
+        mat = (assemble(k, keep) if k < length
+               else SparseIntMatrix(0, len(keep)))
         cols: list[set[int]] = [set() for _ in range(mat.ncols)]
-        for r, row in enumerate(rows):
-            if dead:
-                for c in [c for c in row if c in dead]:
-                    del row[c]
+        for r, row in enumerate(mat.rows):
             for c in row:
                 cols[c].add(r)
-        for r, c, _, _, _ in _units(rows, cols):
-            gone[k].add(c)
-            gone[k + 1].add(r)
-    residual = []
-    for k, mat in enumerate(complex_):
-        keep = [r for r in range(mat.nrows) if r not in gone[k + 1]]
-        index = {c: t for t, c in enumerate(
-            c for c in range(mat.ncols) if c not in gone[k])}
-        residual.append(SparseIntMatrix(
-            len(keep), len(index),
-            [{index[c]: v for c, v in mat.rows[r].items()} for r in keep]))
+        pivots = {r: c for r, c, _, _, _ in _units(mat.rows, cols)}
+        sources = set(pivots.values())
+        live = [c for c in range(mat.ncols) if c not in sources]
+        if prev is not None:
+            pmat, index = prev
+            residual.append(SparseIntMatrix(len(live), len(index), [
+                {index[c]: v for c, v in pmat.rows[keep[c]].items()}
+                for c in live]))
+        keep = [r for r in range(mat.nrows) if r not in pivots]
+        prev = mat, {c: t for t, c in enumerate(live)}
     return residual
 
 
 def _reduced(diagram: Diagram, j: int) -> list[SNFResult]:
     """For i = 0..n: the rank-only SNF of the residual d_i left by
     `cancel_units` (cached per j); its `ncols` counts the generators of
-    C^{i,j} that survive.  The bases and the full matrices are not
-    stored: they are dropped once cancelled."""
+    C^{i,j} that survive.  Each d_i is assembled on the generators that
+    d_{i-1} left, and no full matrix is kept."""
     key = ("reduced", j)
     store = _cache(diagram)
     if key not in store:
         bases = [enumerate_states(diagram, i, j)
                  for i in range(diagram.n_total + 1)] + [[]]
-        residual = cancel_units([
-            boundary_matrix(diagram, i, j, bases[i], bases[i + 1])
-            for i in range(diagram.n_total + 1)])
-        store[key] = [
-            smith_normal_form(m, transforms=False) if m.nnz()
-            else SNFResult(None, None, [], m.nrows, m.ncols)
-            for m in residual]
+
+        def assemble(i, keep):
+            live = bases[i] if keep is None else [bases[i][c] for c in keep]
+            return boundary_matrix(diagram, i, j, live, bases[i + 1])
+
+        store[key] = [smith_normal_form(m, transforms=False)
+                      for m in cancel_units(assemble, diagram.n_total + 1)]
     return store[key]
 
 

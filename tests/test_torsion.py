@@ -586,3 +586,39 @@ def test_grid_counts_match_homology_torsion_census():
                 assert per_i.get(i, 0) == g.count_at(i), (h1, h2, i)
             checked += 1
     assert checked == 16
+
+
+# the family diagrams of up to 10 crossings whose hypotheses hold
+CENSUS = ([("pretzel", p) for p in ((3, -2, -2), (4, -2, -2), (5, -2, -2),
+                                    (6, -2, -2), (4, -3, -2), (3, 3, -2, -2))]
+          + [("braid3", p) for p in ((3, 2), (4, 2), (5, 2), (6, 2), (4, 3),
+                                     (4, 4), (3, 2, 3, 2))]
+          + [("rational", p) for p in ((3, 2), (4, 2), (3, 3), (5, 2),
+                                       (6, 2), (4, 4), (4, 2, 3))])
+
+
+@pytest.mark.parametrize("family, params", CENSUS)
+def test_family_census_against_table(family, params):
+    # the paper's order-two classes against the integral homology: at
+    # each (h, q) the table has at least as many Z2 summands as there are
+    # distinct admissible classes among the all-even certificates there,
+    # and the family bound and the admissible class count are at most
+    # its Z2 summands in all
+    from khtorsion import khovanov_table
+    d = {"pretzel": pretzel, "braid3": braid3_closure,
+         "rational": rational}[family](list(params))
+    s0 = d.family_negative if d.family_negative is not None else 0
+    heights = checked_hypotheses(d, s0).mu_heights()
+    classes = admissible_classes(heights)
+    class_of = {mu: k for k, members in enumerate(classes) for mu in members}
+    found = {}
+    for mu in all_even_tuples(heights):
+        cert = certify_torsion(d, s0, mu)
+        found.setdefault((cert.h, cert.q), set()).add(class_of[mu])
+    z2 = {hq: tors.count(2)
+          for hq, (_, tors) in khovanov_table(d).hq_entries().items()}
+    for hq, ks in found.items():
+        assert len(ks) <= z2.get(hq, 0), hq
+    bound = family_lower_bound(family, params)
+    assert bound.applicable and bound.bound <= sum(z2.values())
+    assert len(classes) <= sum(z2.values())
