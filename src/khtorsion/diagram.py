@@ -32,13 +32,6 @@ class Crossing(NamedTuple):
     sign: int  # +1 or -1
 
 
-# Slot arithmetic used everywhere: a walk that arrives at slot s of a
-# crossing leaves through slot s ^ turn.  Turn 2 follows the strand,
-# turn 1 the A-smoothing, which joins slots (0,1) and (2,3), and turn 3
-# the B-smoothing, which joins slots (1,2) and (3,0).
-STRAND_TURN, A_TURN, B_TURN = 2, 1, 3
-
-
 class Diagram:
     """An oriented link diagram with totally ordered crossings.
 
@@ -51,6 +44,7 @@ class Diagram:
         "components",
         "family_negative",
         "_edge_ports",
+        "_port_arrays",
         "_smooth_cache",
         "_faces",
         "_solver",
@@ -70,6 +64,7 @@ class Diagram:
             for slot, e in enumerate(cr.edges):
                 ports.setdefault(e, []).append((ci, slot))
         self._edge_ports = {e: tuple(ps) for e, ps in ports.items()}
+        self._port_arrays: Optional[tuple] = None  # built by `smooth`
         self._smooth_cache: dict[int, object] = {}
         self._faces: Optional[tuple] = None
         self._solver = None
@@ -176,16 +171,16 @@ class Diagram:
 
 
 def walk_curves(quads: Sequence[tuple[int, int, int, int]],
-                ports: Mapping[int, tuple[tuple[int, int], ...]],
-                turns: Sequence[int]):
-    """Trace the closed curves through the edges of the diagram.
+                ports: Mapping[int, tuple[tuple[int, int], ...]]):
+    """Trace the link components of the parsed quadruples for `_finish`.
 
-    Arriving at slot s of crossing c, a curve leaves through slot
-    ``s ^ turns[c]`` and follows that edge to its far port.  Yields one
-    record per curve: the cyclic list of ``(edge, arrival_port)``
-    pairs.  Curves are started from the edges in ascending label
+    Arriving at slot s of crossing c, a strand goes straight on through
+    slot ``s ^ 2`` and follows that edge to its far port.  Yields one
+    record per component: the cyclic list of ``(edge, arrival_port)``
+    pairs.  Components are started from the edges in ascending label
     order, so each starts at its least edge and they come in the order
-    of their least edges.
+    of their least edges.  (The circles of a smoothing turn at the
+    crossings instead; `Smoothing` traces them over flat port arrays.)
     """
     seen: set[int] = set()
     for e0 in sorted(ports):
@@ -198,7 +193,7 @@ def walk_curves(quads: Sequence[tuple[int, int, int, int]],
             seen.add(e)
             cycle.append((e, arrive))
             c, s = arrive
-            out = (c, s ^ turns[c])
+            out = (c, s ^ 2)
             e = quads[c][out[1]]
             p0, p1 = ports[e]
             arrive = p1 if p0 == out else p0
@@ -240,7 +235,7 @@ def _finish(quads: Sequence[tuple[int, int, int, int]],
 
     components: list[tuple[int, ...]] = []
     head: dict[int, tuple[int, int]] = {}  # port each edge points into
-    for cycle in walk_curves(quads, ports, [STRAND_TURN] * len(quads)):
+    for cycle in walk_curves(quads, ports):
         votes = []
         if mode == "pd":
             # slot 0 is already the incoming under end: directed constraint

@@ -25,12 +25,11 @@ b = U v the system is solvable iff b_t is divisible by the t-th
 invariant factor (and b vanishes beyond the rank), in which case
 y = V z is a witness.
 `class_order` applies this to m v for the divisors m of the exponent
-bound (the largest invariant factor).
+bound (the largest invariant factor), checking the cycle only once.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -91,16 +90,30 @@ def _units(rows: list[dict[int, int]], cols: list[set[int]]):
     its pivot the unit of the shortest column, which keeps the fill
     small.  Yields (r, c, phi, row, updates) per pivot: `row` is the
     pivot row without c, `updates` the (r2, q) pairs in the order made.
-    A caller must not refill a pivot row while iterating: a stale heap
-    entry could pivot it again.
+
+    The candidate rows wait in one bucket per row length, scanned from
+    a low-water mark.  An updated row moves to the bucket of its new
+    length; a taken row with no unit stays out until an update changes
+    it.
     """
-    heap = [(len(row), r) for r, row in enumerate(rows) if row]
-    heapq.heapify(heap)
-    while heap:
-        length, r = heapq.heappop(heap)
+    buckets: list[set[int]] = []
+
+    def place(r: int, length: int) -> None:
+        while len(buckets) <= length:
+            buckets.append(set())
+        buckets[length].add(r)
+
+    for r, row in enumerate(rows):
+        if row:
+            place(r, len(row))
+    low = 0
+    while True:
+        while low < len(buckets) and not buckets[low]:
+            low += 1
+        if low == len(buckets):
+            return
+        r = buckets[low].pop()
         row = rows[r]
-        if length != len(row):
-            continue  # stale: the row changed and was pushed again
         units = [c for c, v in row.items() if v == 1 or v == -1]
         if not units:
             continue
@@ -112,6 +125,7 @@ def _units(rows: list[dict[int, int]], cols: list[set[int]]):
         updates = []
         for r2 in cols[c]:
             row2 = rows[r2]
+            buckets[len(row2)].discard(r2)
             q = row2.pop(c) * phi
             for c2, v in row.items():
                 x = row2.get(c2, 0) - q * v
@@ -123,7 +137,11 @@ def _units(rows: list[dict[int, int]], cols: list[set[int]]):
                     del row2[c2]
                     cols[c2].discard(r2)
             updates.append((r2, q))
-            heapq.heappush(heap, (len(row2), r2))
+            length = len(row2)
+            if length:
+                place(r2, length)
+                if length < low:
+                    low = length
         cols[c] = set()
         rows[r] = {}
         yield r, c, phi, row, updates
@@ -529,9 +547,15 @@ def is_exact(chain: Chain) -> tuple[bool, Optional[Chain]]:
     Returns (True, y) with d(y) = chain, or (False, None).  Raises
     NotACycleError if d(chain) != 0.
     """
-    diagram = chain.diagram
-    if not differential(diagram, chain).is_zero():
+    if not differential(chain.diagram, chain).is_zero():
         raise NotACycleError("is_exact needs a cycle")
+    return _solve(chain)
+
+
+def _solve(chain: Chain) -> tuple[bool, Optional[Chain]]:
+    """`is_exact` on a chain known to be a cycle: solve d(y) = chain
+    through the transform SNF of d_{i-1}."""
+    diagram = chain.diagram
     i, j = chain.i, chain.j
     if chain.is_zero():
         return True, Chain(diagram, i - 1, j)
@@ -563,8 +587,9 @@ def class_order(chain: Chain):
     """Order of the homology class of the cycle: an integer, or math.inf.
 
     The order divides the exponent of the torsion subgroup, i.e. the
-    largest invariant factor of d_{i-1}; each divisor is tested through
-    the exactness oracle.
+    largest invariant factor of d_{i-1}.  The cycle is checked once, by
+    `is_exact`; each further divisor m is tested by solving for m times
+    the chain, a cycle because d(m v) = m d(v).
     """
     exact, _ = is_exact(chain)
     if exact:
@@ -574,7 +599,7 @@ def class_order(chain: Chain):
     for m in sorted(_divisors(bound)):
         if m == 1:
             continue
-        exact, _ = is_exact(m * chain)
+        exact, _ = _solve(m * chain)
         if exact:
             return m
     return math.inf

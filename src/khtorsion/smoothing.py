@@ -1,11 +1,12 @@
 """Kauffman states, smoothed diagrams, enhanced states and chains.
 
 A Kauffman state is a bitmask over the crossings of a diagram (bit set =
-B label).  Smoothing resolves every crossing according to its label; the
-resulting circles are traced by walking the edges, turning at every
-crossing the way its smoothing joins the slots, and each crossing
-leaves a scar (blue for A, red for B) whose endpoints lie on one or two
-circles.
+B label).  Smoothing resolves every crossing according to its label: A
+joins slots (0,1) and (2,3), B joins (1,2) and (3,0).  The resulting
+circles are traced over flat port arrays of the diagram (port
+4 * crossing + slot), turning at every crossing the way its smoothing
+joins the slots, and each crossing leaves a scar (blue for A, red for
+B) whose endpoints lie on one or two circles.
 
 An enhanced state assigns a sign to every circle; it is stored as the
 pair ``(labels, plus)`` of bitmasks, where bit c of ``plus`` is the sign
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .diagram import A_TURN, B_TURN, Diagram, walk_curves
+from .diagram import Diagram
 
 
 class SmoothingError(ValueError):
@@ -31,8 +32,13 @@ class SmoothingError(ValueError):
 class Smoothing:
     """The circles-and-scars picture of one Kauffman state.
 
-    The circles are the curves of `walk_curves` turning A or B at each
-    crossing; the walk meets them in the order of their least edges.
+    Port p = 4 * crossing + slot.  A circle arriving at port p leaves
+    its crossing through port ``p ^ 1`` (A label) or ``p ^ 3`` (B label)
+    and arrives at the far end of that port's edge.  The circles are
+    started from the edges in ascending label order, so each starts at
+    its least edge and they come in the order of their least edges.
+    Each step of the walk crosses one joined pair of slots, and records
+    the circle as the pair's scar side.
 
     The state bitmask itself is not kept: `smooth` caches smoothings by
     it.
@@ -49,23 +55,50 @@ class Smoothing:
     __slots__ = ("circles", "circle_of_edge", "min_edges", "scar_sides")
 
     def __init__(self, diagram: Diagram, labels: int):
-        quads = [cr.edges for cr in diagram.crossings]
-        turns = [B_TURN if labels >> ci & 1 else A_TURN
-                 for ci in range(len(quads))]
-        cycles = list(walk_curves(quads, diagram._edge_ports, turns))
-        self.circles = len(cycles)
-        self.circle_of_edge = circle_of = {
-            e: k for k, cycle in enumerate(cycles) for e, _ in cycle}
-        self.min_edges = tuple(cycle[0][0] for cycle in cycles)
-        # side1 is the circle of the other joined pair: slots (1,2) under
-        # B, (2,3) under A
-        self.scar_sides = tuple(
-            (circle_of[a], circle_of[b if turn == B_TURN else c])
-            for (a, b, c, _), turn in zip(quads, turns))
+        far, edge_at, arrivals = diagram._port_arrays or _port_arrays(diagram)
+        circle_of: dict[int, int] = {}
+        min_edges: list[int] = []
+        # sides[2 c + t]: the circle through joined pair t of crossing c;
+        # from arrival p, t is bit 1 of the slot under A and bit 1 ^ bit 0
+        # under B, whose pair (3,0) is side0
+        sides = [0] * (len(far) >> 1)
+        for e0, start in arrivals:
+            if e0 in circle_of:
+                continue
+            k = len(min_edges)
+            min_edges.append(e0)
+            p = start
+            while True:
+                b = labels >> (p >> 2) & 1
+                circle_of[edge_at[p]] = k
+                sides[(p >> 1) ^ (p & b)] = k
+                p = far[p ^ (b << 1 | 1)]
+                if p == start:
+                    break
+        self.circles = len(min_edges)
+        self.circle_of_edge = circle_of
+        self.min_edges = tuple(min_edges)
+        self.scar_sides = tuple(zip(sides[0::2], sides[1::2]))
 
     def is_monochord(self, crossing_index: int) -> bool:
         s0, s1 = self.scar_sides[crossing_index]
         return s0 == s1
+
+
+def _port_arrays(diagram: Diagram) -> tuple:
+    """(far, edge_at, arrivals) of the diagram, built on its first
+    smoothing: `far[p]` is the port at the other end of the edge at port
+    p, `edge_at[p]` the label of that edge, and `arrivals` the pairs
+    (edge, arrival port) in ascending label order, the arrival port
+    being the later of the edge's two ports."""
+    edge_at = [e for cr in diagram.crossings for e in cr.edges]
+    far = [0] * len(edge_at)
+    for (c0, s0), (c1, s1) in diagram._edge_ports.values():
+        far[4 * c0 + s0], far[4 * c1 + s1] = 4 * c1 + s1, 4 * c0 + s0
+    arrivals = [(e, 4 * c + s)
+                for e, (_, (c, s)) in sorted(diagram._edge_ports.items())]
+    diagram._port_arrays = far, edge_at, arrivals
+    return diagram._port_arrays
 
 
 def smooth(diagram: Diagram, labels: int) -> Smoothing:

@@ -143,6 +143,46 @@ def test_snf_large_sparse_against_dense_reference():
         assert prod.to_dense() == full.s_matrix().to_dense()
 
 
+def _has_unit(row):
+    return any(v == 1 or v == -1 for v in row.values())
+
+
+def test_units_invariants_on_random_sparse_matrices():
+    # every pivot is taken from a shortest row holding a unit, no unit is
+    # left, and the pivots plus the residual's rank over Q are the rank
+    from khtorsion.homology import _units
+    rng = random.Random(11)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 24), rng.randint(1, 24)
+        start = [[0] * ncols for _ in range(nrows)]
+        for line in start:
+            for c in rng.sample(range(ncols), min(ncols, rng.randint(0, 4))):
+                line[c] = rng.choice((1, -1, 1, -1, 2, -2, 3, 6))
+        rows = [{c: v for c, v in enumerate(line) if v} for line in start]
+        cols = [{r for r, row in enumerate(rows) if c in row}
+                for c in range(ncols)]
+        steps = _units(rows, cols)
+        pivots = 0
+        while True:
+            shortest = min((len(row) for row in rows if _has_unit(row)),
+                           default=None)
+            step = next(steps, None)
+            if step is None:
+                assert shortest is None
+                break
+            r, c, phi, row, _ = step
+            assert phi in (1, -1) and c not in row
+            assert len(row) + 1 == shortest
+            assert rows[r] == {} and cols[c] == set()
+            pivots += 1
+        assert not any(_has_unit(row) for row in rows)
+        assert cols == [{r for r, row in enumerate(rows) if c in row}
+                        for c in range(ncols)]
+        residual = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        assert pivots + len(dense_snf_factors(residual)) \
+            == len(dense_snf_factors(start))
+
+
 def test_unknot_kink_homology():
     t = khovanov_table(pretzel([1]))
     assert t.hq_entries() == {(0, 1): (1, ()), (0, -1): (1, ())}

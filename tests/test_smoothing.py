@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from khtorsion import (Chain, EnhancedState, SmoothingError, braid3_closure,
                        degrees, enumerate_states, monocircular, parse_pd,
-                       pretzel, rational, smooth, state_B)
+                       pretzel, rational, reorder_crossings, smooth, state_B)
 from khtorsion.knotdata import HOPF_2, KNOT_3_1
 
 
@@ -168,8 +168,18 @@ def test_smoothing_matches_edge_partition(d):
     check_smoothings_against_reference(d)
 
 
-@pytest.mark.parametrize("d", [pretzel([1]), pretzel([1]).mirror(),
-                               parse_pd(HOPF_2)])
+def _relabelled(d):
+    """The diagram with every edge label e taken to 7e - 20: negative
+    labels with gaps."""
+    return parse_pd(",".join("X(%d,%d,%d,%d)" % tuple(7 * e - 20 for e in q)
+                             for q in (cr.edges for cr in d.crossings)))
+
+
+@pytest.mark.parametrize("d", [
+    pretzel([1]), pretzel([1]).mirror(), parse_pd(HOPF_2),
+    *map(_relabelled, [
+        parse_pd(HOPF_2), parse_pd(KNOT_3_1),
+        reorder_crossings(monocircular(3, 3), [4, 0, 5, 2, 1, 3])])])
 def test_smoothing_matches_edge_partition_small(d):
     check_smoothings_against_reference(d)
 

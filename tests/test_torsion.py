@@ -293,12 +293,15 @@ def test_certificate_oracle_and_json():
 
 
 def test_certificate_oracle_flags_from_one_order_query(count_calls):
-    # the flags are read off class_order(V), which solves for V and 2V;
-    # they must agree with direct exactness queries
-    calls = count_calls("is_exact")
+    # the flags are read off class_order(V), which checks the cycle once
+    # and solves for V and 2V; they must agree with direct exactness queries
+    calls = count_calls("is_exact", "differential")
     cert = certify_torsion(monocircular(3, 6), 0, (2, 2), oracle=True)
-    assert calls["is_exact"] == 2
+    assert calls["is_exact"] == 1
     v = cert.chain_v
+    calls.update(is_exact=0, differential=0)
+    assert class_order(v) == 2
+    assert calls == {"is_exact": 1, "differential": 1}
     assert cert.flags["oracle_not_exact"] == (not is_exact(v)[0])
     assert cert.flags["oracle_2v_exact"] == is_exact(2 * v)[0]
 
