@@ -64,7 +64,7 @@ class Diagram:
             for slot, e in enumerate(cr.edges):
                 ports.setdefault(e, []).append((ci, slot))
         self._edge_ports = {e: tuple(ps) for e, ps in ports.items()}
-        self._port_arrays: Optional[tuple] = None  # built by `smooth`
+        self._port_arrays: Optional[tuple] = None  # on the first smoothing
         self._smooth_cache: dict[int, object] = {}
         self._faces: Optional[tuple] = None
         self._solver = None
