@@ -10,11 +10,16 @@ ordered before x.
 
 Everything but the signs of the circles depends only on the Kauffman
 state: which edges of the cube leave it, whether each merges or splits,
-and where the untouched circles go.  `_cube_edges` builds that table
-once per state and `_add_differential` applies it to a sign mask; it is
-the one place where the merge/split rule lives.  Only the table of the
-last state is kept, since every caller walks its states in runs of
-equal labels (bases are sorted by labels).
+and where the untouched circles go.  Circles are indexed by their least
+edge and an untouched circle keeps its edges, so the untouched circles
+keep their order and only the indices past the touched ones shift by
+one: each edge moves their signs with one mask and one shift, whatever
+the number of circles.  `_cube_edges` builds that table once per state
+and `_add_differential` applies it to a sign mask; it is the one place
+where the merge/split rule lives.  A merge needs no smoothing of the
+neighbouring state, a split reads the neighbour's scar sides.  Only the
+table of the last state is kept, since every caller walks its states in
+runs of equal labels (bases are sorted by labels).
 """
 
 from __future__ import annotations
@@ -54,12 +59,30 @@ def _cube_edges(diagram: Diagram, labels: int) -> tuple:
     """The cube edges leaving the Kauffman state `labels`.
 
     Returns (i, circles, edges) with one edge per A-labelled crossing x,
-    in increasing x: (new_labels, odd, merge, b0, b1, t0, t1, moves).
-    odd is the parity of the B labels before x; b0, b1 are the bits of
-    the circles the scar touches (side0, side1) and t0, t1 those of the
-    circles it touches after the change; moves holds the (source bit,
-    target bit) pairs of the untouched circles.  The table of the last
-    state asked for is kept in the diagram's store.
+    in increasing x: (new_labels, odd, merge, b0, b1, t0, t1, keep, down,
+    up).  odd is the parity of the B labels before x; b0, b1 are the
+    bits of the circles the scar touches (side0, side1) and t0, t1 those
+    of the circles it touches after the change.  The untouched circles
+    move by one mask and one shift: their target signs are
+    ``plus & keep | plus >> down << up``.
+
+    That holds because circles are indexed by their least edge, and a
+    circle the change does not touch keeps its edges, so the untouched
+    circles keep their relative order; only the touched ones move.  With
+    lo < hi the two touched indices:
+
+    - merge: the merged circle holds both least edges, so it takes index
+      lo.  Circles below hi other than lo keep their index, those above
+      hi move down by one (down = hi + 1, up = hi), and t0 = t1 = 1 << lo
+      needs no neighbour smoothing;
+    - split: the part holding the source circle's least edge keeps its
+      index lo = side0, and the other part lands at hi.  Circles below hi
+      other than lo keep their index, those from hi up move up by one
+      (down = hi, up = hi + 1); c0, c1 come from the neighbour's scar
+      sides at x.
+
+    In both cases keep = ((1 << hi) - 1) ^ (1 << lo).  The table of the
+    last state asked for is kept in the diagram's store.
     """
     store = _cache(diagram)
     last = store.get("edges")
@@ -68,20 +91,23 @@ def _cube_edges(diagram: Diagram, labels: int) -> tuple:
     sm = smooth(diagram, labels)
     edges = []
     k = 0  # number of B labels before the current crossing
-    for x in range(diagram.n_total):
+    for x, (side0, side1) in enumerate(sm.scar_sides):
         if labels >> x & 1:
             k += 1
             continue
-        side0, side1 = sm.scar_sides[x]
         new_labels = labels | (1 << x)
-        tm = smooth(diagram, new_labels)
-        c0, c1 = tm.scar_sides[x]
-        circle_of = tm.circle_of_edge
-        moves = [(1 << c, 1 << circle_of[e])
-                 for c, e in enumerate(sm.min_edges)
-                 if c != side0 and c != side1]
+        if side0 != side1:  # merge
+            lo, hi = min(side0, side1), max(side0, side1)
+            t0 = t1 = 1 << lo
+            down, up = hi + 1, hi
+        else:  # split
+            c0, c1 = smooth(diagram, new_labels).scar_sides[x]
+            t0, t1 = 1 << c0, 1 << c1
+            lo, hi = side0, max(c0, c1)
+            down, up = hi, hi + 1
         edges.append((new_labels, k & 1, side0 != side1, 1 << side0,
-                      1 << side1, 1 << c0, 1 << c1, moves))
+                      1 << side1, t0, t1, ((1 << hi) - 1) ^ (1 << lo),
+                      down, up))
     table = (bin(labels).count("1"), sm.circles, edges)
     store["edges"] = (labels, table)
     return table
@@ -95,13 +121,10 @@ def _add_differential(diagram: Diagram, state, scale: int,
     compare equal to the `EnhancedState` of the same pair."""
     labels, plus = state
     i, circles, edges = _cube_edges(diagram, labels)
-    for new_labels, odd, merge, b0, b1, t0, t1, moves in edges:
+    for new_labels, odd, merge, b0, b1, t0, t1, keep, down, up in edges:
         if merge and not plus & (b0 | b1):
             continue  # (-,-) kills the term
-        base = 0
-        for src, dst in moves:
-            if plus & src:
-                base |= dst
+        base = plus & keep | plus >> down << up
         if merge:  # (+,+) -> +, (+,-) and (-,+) -> -
             targets = (base | t0,) if plus & b0 and plus & b1 else (base,)
         elif plus & b0:  # + -> (+,-) + (-,+)

@@ -103,13 +103,14 @@ def _port_arrays(diagram: Diagram) -> tuple:
 
 def smooth(diagram: Diagram, labels: int) -> Smoothing:
     """Smooth the diagram according to the state; results are cached on
-    the diagram and shared (read-only) between callers."""
-    if labels < 0 or labels >> diagram.n_total:
-        raise SmoothingError(
-            f"state 0x{labels:x} does not match a {diagram.n_total}-crossing diagram")
+    the diagram and shared (read-only) between callers.  Only valid
+    states enter the cache, so the range is checked on a miss only."""
     cache = diagram._smooth_cache
     sm = cache.get(labels)
     if sm is None:
+        if labels < 0 or labels >> diagram.n_total:
+            raise SmoothingError(f"state 0x{labels:x} does not match a "
+                                 f"{diagram.n_total}-crossing diagram")
         sm = cache[labels] = Smoothing(diagram, labels)
     return sm
 

@@ -5,7 +5,8 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
-from khtorsion import braid3_closure, monocircular, pretzel, rational
+from khtorsion import (braid3_closure, monocircular, parse_pd, pretzel,
+                       rational)
 
 
 @pytest.fixture
@@ -30,6 +31,13 @@ def count_calls(monkeypatch):
                                         counted(name, getattr(module, name)))
         return calls
     return install
+
+
+def relabelled(d):
+    """The diagram with every edge label e taken to 7e - 20: negative
+    labels with gaps."""
+    return parse_pd(",".join("X(%d,%d,%d,%d)" % tuple(7 * e - 20 for e in q)
+                             for q in (cr.edges for cr in d.crossings)))
 
 
 def _twists(min_size, crossings, twist, bands):

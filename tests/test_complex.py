@@ -5,11 +5,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import family_diagrams
+from conftest import family_diagrams, relabelled
 from khtorsion import (Chain, EnhancedState, boundary_matrix, differential,
                        enumerate_states, incidence, khovanov_table,
                        monocircular, parse_pd, pretzel, reorder_crossings,
                        smooth)
+from khtorsion import chaincomplex
+from khtorsion.chaincomplex import _add_differential, _cache, _cube_edges
 from khtorsion.knotdata import HOPF_2, KNOT_3_1
 
 
@@ -180,3 +182,83 @@ def test_boundary_matrices_against_incidence_over_families(d, rnd):
                                     for t in dst]
             assert boundary_matrix(e, i + 1, j).matmul(m).is_zero()
     assert khovanov_table(e) == khovanov_table(d)
+
+
+def _transport_cases():
+    """(diagram, Kauffman states): every state of four small diagrams,
+    crossings reordered and edges relabelled e -> 7e - 20, and one state
+    of D(3,6) with six circles, three merge edges and one split edge."""
+    cases = []
+    for seed, d in enumerate((parse_pd(HOPF_2), parse_pd(KNOT_3_1),
+                              pretzel([-1, 3]), monocircular(3, 3))):
+        perm = list(range(d.n_total))
+        random.Random(seed).shuffle(perm)
+        e = relabelled(reorder_crossings(d, perm))
+        cases.append((e, range(1 << e.n_total)))
+    cases.append((monocircular(3, 6), [0b011111000]))
+    return cases
+
+
+def test_cube_edges_transport_matches_per_circle_map():
+    # the mask-and-shift transport against the map of every untouched
+    # circle c to the neighbour's circle_of_edge[min_edges[c]]
+    six = 0
+    for d, states in _transport_cases():
+        for labels in states:
+            sm = smooth(d, labels)
+            six += sm.circles >= 6
+            for plus in range(1 << sm.circles):
+                expected = {}
+                for x, (side0, side1) in enumerate(sm.scar_sides):
+                    if labels >> x & 1:
+                        continue
+                    new_labels = labels | 1 << x
+                    tm = smooth(d, new_labels)
+                    c0, c1 = tm.scar_sides[x]
+                    if side0 != side1:
+                        assert c0 == c1 == min(side0, side1)
+                    else:
+                        assert min(c0, c1) == side0
+                    base = 0
+                    for c, e in enumerate(sm.min_edges):
+                        if c not in (side0, side1) and plus >> c & 1:
+                            base |= 1 << tm.circle_of_edge[e]
+                    a, b = plus >> side0 & 1, plus >> side1 & 1
+                    if side0 != side1:
+                        targets = ([] if not (a or b) else
+                                   [base | 1 << c0] if a and b else [base])
+                    else:
+                        targets = ([base | 1 << c0, base | 1 << c1] if a
+                                   else [base])
+                    sign = -1 if bin(labels & ((1 << x) - 1)).count("1") & 1 else 1
+                    for t in targets:
+                        expected[(new_labels, t)] = sign
+                coeffs = {}
+                _add_differential(d, (labels, plus), 1, coeffs)
+                assert coeffs == expected
+    assert six
+
+
+def test_cube_edges_smooth_only_the_state_and_its_splits(monkeypatch):
+    # one table build smooths the state once and each split neighbour
+    # once; a merge reads no neighbour smoothing
+    calls = []
+    original = chaincomplex.smooth
+
+    def recording(diagram, labels):
+        calls.append(labels)
+        return original(diagram, labels)
+
+    monkeypatch.setattr(chaincomplex, "smooth", recording)
+    for d, states in _transport_cases():
+        for labels in states:
+            sm = original(d, labels)
+            splits = [labels | 1 << x
+                      for x, (side0, side1) in enumerate(sm.scar_sides)
+                      if not labels >> x & 1 and side0 == side1]
+            _cache(d).pop("edges", None)
+            calls.clear()
+            _cube_edges(d, labels)
+            assert calls == [labels] + splits
+            _cube_edges(d, labels)  # the last table is kept
+            assert calls == [labels] + splits

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import relabelled
 from khtorsion import (Chain, EnhancedState, SmoothingError, braid3_closure,
                        degrees, enumerate_states, monocircular, parse_pd,
                        pretzel, rational, reorder_crossings, smooth, state_B)
@@ -168,20 +169,27 @@ def test_smoothing_matches_edge_partition(d):
     check_smoothings_against_reference(d)
 
 
-def _relabelled(d):
-    """The diagram with every edge label e taken to 7e - 20: negative
-    labels with gaps."""
-    return parse_pd(",".join("X(%d,%d,%d,%d)" % tuple(7 * e - 20 for e in q)
-                             for q in (cr.edges for cr in d.crossings)))
-
-
 @pytest.mark.parametrize("d", [
     pretzel([1]), pretzel([1]).mirror(), parse_pd(HOPF_2),
-    *map(_relabelled, [
+    *map(relabelled, [
         parse_pd(HOPF_2), parse_pd(KNOT_3_1),
         reorder_crossings(monocircular(3, 3), [4, 0, 5, 2, 1, 3])])])
 def test_smoothing_matches_edge_partition_small(d):
     check_smoothings_against_reference(d)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_smooth_rejects_states_out_of_range(warm):
+    # the range is checked on a cache miss; an out-of-range state is
+    # never cached, so a warm cache rejects it too
+    d = parse_pd(HOPF_2)
+    if warm:
+        for labels in range(1 << d.n_total):
+            smooth(d, labels)
+    for bad in (1 << d.n_total, -1):
+        with pytest.raises(SmoothingError):
+            smooth(d, bad)
+        assert bad not in d._smooth_cache
 
 
 def test_mono_vs_bichord():
