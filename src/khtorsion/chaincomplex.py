@@ -11,15 +11,13 @@ ordered before x.
 Everything but the signs of the circles depends only on the Kauffman
 state: which edges of the cube leave it, whether each merges or splits,
 and where the untouched circles go.  Circles are indexed by their least
-edge and an untouched circle keeps its edges, so the untouched circles
-keep their order and only the indices past the touched ones shift by
-one: each edge moves their signs with one mask and one shift, whatever
-the number of circles.  `_cube_edges` builds that table once per state
-and `_add_differential` applies it to a sign mask; it is the one place
-where the merge/split rule lives.  A merge needs no smoothing of the
-neighbouring state, a split reads the neighbour's scar sides.  Only the
-table of the last state is kept, since every caller walks its states in
-runs of equal labels (bases are sorted by labels).
+edge, so the untouched circles keep their order across an edge and
+their signs move with one mask and one shift, whatever the number of
+circles.  `_cube_edges` builds that table once per state and
+`_add_differential` applies it to a sign mask; it is the one place
+where the merge/split rule lives.  Only the table of the last state is
+kept, since every caller walks its states in runs of equal labels
+(bases are sorted by labels).
 """
 
 from __future__ import annotations
@@ -97,13 +95,13 @@ def _cube_edges(diagram: Diagram, labels: int) -> tuple:
             continue
         new_labels = labels | (1 << x)
         if side0 != side1:  # merge
-            lo, hi = min(side0, side1), max(side0, side1)
+            lo, hi = (side0, side1) if side0 < side1 else (side1, side0)
             t0 = t1 = 1 << lo
             down, up = hi + 1, hi
         else:  # split
             c0, c1 = smooth(diagram, new_labels).scar_sides[x]
             t0, t1 = 1 << c0, 1 << c1
-            lo, hi = side0, max(c0, c1)
+            lo, hi = side0, c0 + c1 - side0  # one of c0, c1 is side0
             down, up = hi, hi + 1
         edges.append((new_labels, k & 1, side0 != side1, 1 << side0,
                       1 << side1, t0, t1, ((1 << hi) - 1) ^ (1 << lo),

@@ -230,9 +230,9 @@ def test_cube_edges_transport_matches_per_circle_map():
                     else:
                         targets = ([base | 1 << c0, base | 1 << c1] if a
                                    else [base])
-                    sign = -1 if bin(labels & ((1 << x) - 1)).count("1") & 1 else 1
+                    odd = bin(labels & ((1 << x) - 1)).count("1") & 1
                     for t in targets:
-                        expected[(new_labels, t)] = sign
+                        expected[(new_labels, t)] = -1 if odd else 1
                 coeffs = {}
                 _add_differential(d, (labels, plus), 1, coeffs)
                 assert coeffs == expected
