@@ -13,11 +13,13 @@ state: which edges of the cube leave it, whether each merges or splits,
 and where the untouched circles go.  Circles are indexed by their least
 edge, so the untouched circles keep their order across an edge and
 their signs move with one mask and one shift, whatever the number of
-circles.  `_cube_edges` builds that table once per state and
-`_add_differential` applies it to a sign mask; it is the one place
-where the merge/split rule lives.  Only the table of the last state is
-kept, since every caller walks its states in runs of equal labels
-(bases are sorted by labels).
+circles.  `_cube_edges` builds that table once per state and `_terms`
+applies it to a sign mask; `_terms` is the one place where the
+merge/split rule lives.  `_add_differential` sums its terms into a
+chain's coefficients, and `boundary_matrix` writes them straight into
+the matrix.  Only the table of the last state is kept, since every
+caller walks its states in runs of equal labels (bases are sorted by
+labels).
 """
 
 from __future__ import annotations
@@ -111,6 +113,28 @@ def _cube_edges(diagram: Diagram, labels: int) -> tuple:
     return table
 
 
+def _terms(plus: int, edges: list):
+    """Yield the ((new_labels, target_plus), sign) terms of d of the
+    enhanced state with sign mask `plus`, whose Kauffman state has the
+    cube-edge table `edges`, in edge order.
+
+    No key repeats: distinct edges change distinct crossings, and a
+    split's two targets differ in the signs of its two circles."""
+    for new_labels, odd, merge, b0, b1, t0, t1, keep, down, up in edges:
+        if merge and not plus & (b0 | b1):
+            continue  # (-,-) kills the term
+        base = plus & keep | plus >> down << up
+        sign = -1 if odd else 1
+        if merge:  # (+,+) -> +, (+,-) and (-,+) -> -
+            yield (new_labels, base | t0 if plus & b0 and plus & b1
+                   else base), sign
+        elif plus & b0:  # + -> (+,-) + (-,+)
+            yield (new_labels, base | t0), sign
+            yield (new_labels, base | t1), sign
+        else:  # - -> (-,-)
+            yield (new_labels, base), sign
+
+
 def _add_differential(diagram: Diagram, state, scale: int,
                       coeffs: dict) -> tuple[int, int]:
     """Add scale * d(state) into coeffs; returns the (i, j) of the state.
@@ -119,24 +143,12 @@ def _add_differential(diagram: Diagram, state, scale: int,
     compare equal to the `EnhancedState` of the same pair."""
     labels, plus = state
     i, circles, edges = _cube_edges(diagram, labels)
-    for new_labels, odd, merge, b0, b1, t0, t1, keep, down, up in edges:
-        if merge and not plus & (b0 | b1):
-            continue  # (-,-) kills the term
-        base = plus & keep | plus >> down << up
-        if merge:  # (+,+) -> +, (+,-) and (-,+) -> -
-            targets = (base | t0,) if plus & b0 and plus & b1 else (base,)
-        elif plus & b0:  # + -> (+,-) + (-,+)
-            targets = (base | t0, base | t1)
-        else:  # - -> (-,-)
-            targets = (base,)
-        sign = -scale if odd else scale
-        for t in targets:
-            key = (new_labels, t)
-            v = coeffs.get(key, 0) + sign
-            if v:
-                coeffs[key] = v
-            else:
-                del coeffs[key]
+    for key, sign in _terms(plus, edges):
+        v = coeffs.get(key, 0) + sign * scale
+        if v:
+            coeffs[key] = v
+        else:
+            del coeffs[key]
     return i, i + 2 * bin(plus).count("1") - circles
 
 
@@ -257,21 +269,24 @@ def boundary_matrix(diagram: Diagram, i: int, j: int,
                     ) -> SparseIntMatrix:
     """Matrix of d_i : C^{i,j} -> C^{i+1,j} in the canonical bases.
 
-    Column s, row t holds the incidence number i(s, t).  The columns
-    are filled by `_add_differential`, which reads the cube-edge table
-    of each Kauffman state once for the run of basis states sharing it.
+    Column s, row t holds the incidence number i(s, t).  Each column is
+    written from the `_terms` of its state, with the cube-edge table
+    fetched once per run of basis states with equal labels; a state's
+    terms have distinct keys, so nothing is accumulated.  Any order of
+    `basis_from` gives the same matrix.
     """
     if basis_from is None:
         basis_from = enumerate_states(diagram, i, j)
     if basis_to is None:
         basis_to = enumerate_states(diagram, i + 1, j)
-    index = {state: r for r, state in enumerate(basis_to)}
+    index = dict(zip(basis_to, range(len(basis_to))))
     mat = SparseIntMatrix(len(basis_to), len(basis_from))
     rows = mat.rows
-    coeffs: dict[tuple[int, int], int] = {}
-    for col, state in enumerate(basis_from):
-        coeffs.clear()
-        _add_differential(diagram, state, 1, coeffs)
-        for tstate, c in coeffs.items():
-            rows[index[tstate]][col] = c
+    last = edges = None
+    for col, (labels, plus) in enumerate(basis_from):
+        if labels != last:
+            last = labels
+            edges = _cube_edges(diagram, labels)[2]
+        for key, sign in _terms(plus, edges):
+            rows[index[key]][col] = sign
     return mat

@@ -74,8 +74,14 @@ def _family_diagram(family: str, params: list[int]) -> dg.Diagram:
 
 def _build_diagram(args) -> dg.Diagram:
     if args.pd is not None:
-        with open(args.pd) as fh:
-            d = dg.parse_pd(fh.read())
+        with open(args.pd, encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise dg.DiagramError(
+                    f"{args.pd}: not UTF-8 text ({exc.reason} at byte "
+                    f"{exc.start})")
+        d = dg.parse_pd(text)
     elif args.pd_inline is not None:
         d = dg.parse_pd(args.pd_inline)
     else:
@@ -95,10 +101,13 @@ def _state_mask(d: dg.Diagram, spec: str) -> int:
             return d.family_negative
         return signed_state(d)
     try:
-        return int(spec, 16)
+        mask = int(spec, 16)
     except ValueError:
+        mask = -1
+    if mask < 0:
         raise dg.DiagramError(
             f"--state must be sA, signed or a hex mask; got {spec!r}")
+    return mask
 
 
 def cmd_table(args) -> int:

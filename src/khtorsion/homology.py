@@ -87,9 +87,13 @@ def _units(rows: list[dict[int, int]], cols: list[set[int]]):
     q = rows[r2][c] phi (phi^-1 = phi), which give the other rows the
     rank-one update eps - gamma phi^-1 delta; then row r and column c
     are emptied.  The pivot row is the shortest row holding a unit, and
-    its pivot the unit of the shortest column, which keeps the fill
-    small.  Yields (r, c, phi, row, updates) per pivot: `row` is the
-    pivot row without c, `updates` the (r2, q) pairs in the order made.
+    its pivot the unit of the shortest column (the first such unit on
+    ties), which keeps the fill small.  Yields (r, c, phi, row, updates)
+    per pivot: `row` is the pivot row without c, `updates` the (r2, q)
+    pairs in the order made.
+
+    Most pivot rows hold no other entry.  Then the update only drops
+    column c from each other row, and a short loop does just that.
 
     The candidate rows wait in one bucket per row length, scanned from
     a low-water mark.  An updated row moves to the bucket of its new
@@ -97,15 +101,12 @@ def _units(rows: list[dict[int, int]], cols: list[set[int]]):
     it.
     """
     buckets: list[set[int]] = []
-
-    def place(r: int, length: int) -> None:
-        while len(buckets) <= length:
-            buckets.append(set())
-        buckets[length].add(r)
-
     for r, row in enumerate(rows):
         if row:
-            place(r, len(row))
+            length = len(row)
+            while len(buckets) <= length:
+                buckets.append(set())
+            buckets[length].add(r)
     low = 0
     while True:
         while low < len(buckets) and not buckets[low]:
@@ -114,36 +115,54 @@ def _units(rows: list[dict[int, int]], cols: list[set[int]]):
             return
         r = buckets[low].pop()
         row = rows[r]
-        units = [c for c, v in row.items() if v == 1 or v == -1]
-        if not units:
+        c = best = None
+        for c2, v in row.items():
+            if v == 1 or v == -1:
+                n = len(cols[c2])
+                if best is None or n < best:
+                    c, best = c2, n
+        if c is None:
             continue
-        c = min(units, key=lambda c: len(cols[c]))
         phi = row.pop(c)
-        for c2 in row:
-            cols[c2].discard(r)
         cols[c].discard(r)
         updates = []
-        for r2 in cols[c]:
-            row2 = rows[r2]
-            buckets[len(row2)].discard(r2)
-            q = row2.pop(c) * phi
-            for c2, v in row.items():
-                x = row2.get(c2, 0) - q * v
-                if x:
-                    if c2 not in row2:
-                        cols[c2].add(r2)
-                    row2[c2] = x
-                else:
-                    del row2[c2]
-                    cols[c2].discard(r2)
-            updates.append((r2, q))
-            length = len(row2)
-            if length:
-                place(r2, length)
-                if length < low:
-                    low = length
+        if not row:  # the other rows only lose their entry in column c
+            for r2 in cols[c]:
+                row2 = rows[r2]
+                length = len(row2)
+                buckets[length].discard(r2)
+                updates.append((r2, row2.pop(c) * phi))
+                length -= 1
+                if length:
+                    buckets[length].add(r2)
+                    if length < low:
+                        low = length
+        else:
+            for c2 in row:
+                cols[c2].discard(r)
+            for r2 in cols[c]:
+                row2 = rows[r2]
+                buckets[len(row2)].discard(r2)
+                q = row2.pop(c) * phi
+                for c2, v in row.items():
+                    x = row2.get(c2, 0) - q * v
+                    if x:
+                        if c2 not in row2:
+                            cols[c2].add(r2)
+                        row2[c2] = x
+                    else:
+                        del row2[c2]
+                        cols[c2].discard(r2)
+                updates.append((r2, q))
+                length = len(row2)
+                if length:
+                    while len(buckets) <= length:
+                        buckets.append(set())
+                    buckets[length].add(r2)
+                    if length < low:
+                        low = length
         cols[c] = set()
-        rows[r] = {}
+        rows[r] = {}  # not the emptied row: a fresh dict frees its table
         yield r, c, phi, row, updates
 
 

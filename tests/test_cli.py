@@ -159,6 +159,15 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ["-1", "-ff", "x"])
+def test_state_mask_rejects_negative_and_non_hex(capsys, spec):
+    code, _, err = run(capsys, "certify", "--pretzel", "3,3,3",
+                       f"--state={spec}", "--mu", "2")
+    assert code == 2
+    assert err == ("error: --state must be sA, signed or a hex mask; "
+                   f"got {spec!r}\n")
+
+
 def test_ladder_first_order_flag(capsys):
     code, out, _ = run(capsys, "table", "--pretzel", "-1,3",
                        "--order", "ladder-first", "--json")
@@ -179,8 +188,16 @@ def test_ladder_first_order_flag(capsys):
     (("bound", "--rational", "0"), 2),
     (("bound", "--braid3", "0,0"), 2),
     (("bound", "--braid3", "7"), 2),
+    # a PD file that is not UTF-8 text; {binary} is its path
+    (("table", "--pd", "{binary}"), 2),
+    # a negative state mask
+    (("certify", "--pretzel", "3,3,3", "--state", "-1", "--mu", "2"), 2),
 ])
-def test_bad_input_exit_code_without_traceback(capsys, argv, expected):
+def test_bad_input_exit_code_without_traceback(capsys, tmp_path, argv,
+                                               expected):
+    binary = tmp_path / "binary.pd"
+    binary.write_bytes(b"\xff\xfe\x00garbage")
+    argv = [a.format(binary=binary) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == expected
     assert "Traceback" not in out + err

@@ -138,6 +138,39 @@ def test_d_squared_zero_hopf_and_pretzel():
                 assert b.matmul(a).is_zero()
 
 
+def test_boundary_matrix_on_shuffled_subsets_against_incidence(monkeypatch):
+    # columns in any order, labels interleaved: the matrix is the
+    # incidence matrix of the given columns, and the cube-edge table is
+    # asked for once per run of equal labels
+    calls = []
+    original = chaincomplex._cube_edges
+
+    def counting(diagram, labels):
+        calls.append(labels)
+        return original(diagram, labels)
+
+    monkeypatch.setattr(chaincomplex, "_cube_edges", counting)
+    rng = random.Random(5)
+    interleaved = 0
+    for d in (pretzel([-1, 3]), monocircular(3, 3), parse_pd(KNOT_3_1)):
+        n = d.n_total
+        top = max(smooth(d, labels).circles for labels in range(1 << n))
+        for j in range(-top, n + top + 1):
+            for i in range(n):
+                src = enumerate_states(d, i, j)
+                dst = enumerate_states(d, i + 1, j)
+                cols = rng.sample(src, rng.randint(0, len(src)))
+                calls.clear()
+                m = boundary_matrix(d, i, j, cols, dst)
+                assert m.to_dense() == [[incidence(d, s, t) for s in cols]
+                                        for t in dst]
+                runs = [s.labels for k, s in enumerate(cols)
+                        if k == 0 or s.labels != cols[k - 1].labels]
+                assert calls == runs
+                interleaved += len(runs) > len({s.labels for s in cols})
+    assert interleaved
+
+
 def test_unknot_kink_matrix_dimensions():
     d = pretzel([1])
     m = boundary_matrix(d, 0, 1)

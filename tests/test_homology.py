@@ -147,11 +147,34 @@ def _has_unit(row):
     return any(v == 1 or v == -1 for v in row.values())
 
 
+def _replay(before, r, c, phi, row, updates):
+    """One logged `_units` step applied to a copy of the rows it started
+    from: the log `smith_normal_form` replays into U and V."""
+    rows = [dict(line) for line in before]
+    pivot = rows[r]
+    assert pivot.pop(c) == phi and pivot == row
+    for r2, q in updates:
+        line = rows[r2]
+        assert line.pop(c) * phi == q
+        for c2, v in row.items():
+            x = line.get(c2, 0) - q * v
+            if x:
+                line[c2] = x
+            else:
+                del line[c2]
+    rows[r] = {}
+    return rows
+
+
 def test_units_invariants_on_random_sparse_matrices():
-    # every pivot is taken from a shortest row holding a unit, no unit is
-    # left, and the pivots plus the residual's rank over Q are the rank
+    # every pivot is taken from a shortest row holding a unit, its column
+    # is the first unit column of fewest entries, no unit is left, and
+    # the pivots plus the residual's rank over Q are the rank; each step's
+    # (r, c, phi, row, updates) replayed on the rows before it gives the
+    # rows after it
     from khtorsion.homology import _units
     rng = random.Random(11)
+    single = filled = 0
     for _ in range(40):
         nrows, ncols = rng.randint(1, 24), rng.randint(1, 24)
         start = [[0] * ncols for _ in range(nrows)]
@@ -166,14 +189,25 @@ def test_units_invariants_on_random_sparse_matrices():
         while True:
             shortest = min((len(row) for row in rows if _has_unit(row)),
                            default=None)
+            before = [dict(row) for row in rows]
+            sizes = [len(col) for col in cols]
             step = next(steps, None)
             if step is None:
                 assert shortest is None
                 break
-            r, c, phi, row, _ = step
+            r, c, phi, row, updates = step
             assert phi in (1, -1) and c not in row
             assert len(row) + 1 == shortest
+            units = [c2 for c2, v in before[r].items() if v in (1, -1)]
+            assert c == min(units, key=lambda c2: sizes[c2])
             assert rows[r] == {} and cols[c] == set()
+            others = [r2 for r2, line in enumerate(before)
+                      if c in line and r2 != r]
+            assert sorted(r2 for r2, _ in updates) == others
+            assert _replay(before, r, c, phi, row, updates) == rows
+            single += not row and bool(others)
+            filled += any(c2 not in before[r2]
+                          for r2, _ in updates for c2 in row)
             pivots += 1
         assert not any(_has_unit(row) for row in rows)
         assert cols == [{r for r, row in enumerate(rows) if c in row}
@@ -181,6 +215,8 @@ def test_units_invariants_on_random_sparse_matrices():
         residual = [[row.get(c, 0) for c in range(ncols)] for row in rows]
         assert pivots + len(dense_snf_factors(residual)) \
             == len(dense_snf_factors(start))
+    # both the single-entry fast path and the rank-one update with fill-in
+    assert single and filled, (single, filled)
 
 
 def test_unknot_kink_homology():
