@@ -8,13 +8,15 @@ and `bound` (family lower bounds).  All JSON payloads carry
 
 Exit codes: 0 success or report, 2 parse/usage error (a bad state mask
 included), 3 hypothesis rejection (blue scars that do not form ladders
-included), 4 size guard exceeded.
+included), 4 size guard exceeded.  A reader that closes stdout early
+is not an error: the command stops and exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import diagram as dg
@@ -219,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="confirm the order through the integral exactness "
                         "oracle")
     p.add_argument("--verify-even", action="store_true",
-                   help="brute-force the evenness of the certificate module")
+                   help="check that the certificate module is even, "
+                        "walking the generators one B label below it")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_certify)
 
@@ -265,6 +268,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(_merge_list_flags(list(argv)))
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader stopped early; what is still buffered goes to
+        # devnull, so the final flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (HypothesisRejected, LadderError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED

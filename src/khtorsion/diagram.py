@@ -11,6 +11,13 @@ used throughout the package: pretzel diagrams ``P(a_1, ..., a_n)``,
 alternating-box rational diagrams, closures of three-strand braids and
 the monocircular diagrams ``D(h1, h2) = P(-1, ..., -1, h2)``.
 
+Every walk over a diagram runs on one flat port numbering, built by
+`_ports`: port p = 4 * crossing + slot, and ``far[p]`` is the port at
+the other end of its edge.  A strand goes straight on (``p ^ 2``), a
+face turns to the next slot counterclockwise, and the circles of a
+smoothing (`smoothing.Smoothing`) turn the way each crossing's label
+joins its slots.
+
 Crossings are totally ordered (construction order); `reorder_crossings`
 is the only way to change the order.  Diagrams are immutable after
 construction.
@@ -37,14 +44,14 @@ class Diagram:
 
     Instances should be produced by `parse_pd`, the family constructors
     or `reorder_crossings`, never by mutating an existing diagram.
+    `ports` holds the read-only ``(far, edge_at, arrivals)`` of `_ports`.
     """
 
     __slots__ = (
         "crossings",
         "components",
         "family_negative",
-        "_edge_ports",
-        "_port_arrays",
+        "ports",
         "_smooth_cache",
         "_faces",
         "_solver",
@@ -59,12 +66,7 @@ class Diagram:
         # constructors; component orientations can flip crossing signs on
         # multi-component links, so the entry signs are kept explicitly
         self.family_negative = family_negative
-        ports: dict[int, list[tuple[int, int]]] = {}
-        for ci, cr in enumerate(crossings):
-            for slot, e in enumerate(cr.edges):
-                ports.setdefault(e, []).append((ci, slot))
-        self._edge_ports = {e: tuple(ps) for e, ps in ports.items()}
-        self._port_arrays: Optional[tuple] = None  # on the first smoothing
+        self.ports = _ports([cr.edges for cr in crossings])
         self._smooth_cache: dict[int, object] = {}
         self._faces: Optional[tuple] = None
         self._solver = None
@@ -77,10 +79,7 @@ class Diagram:
 
     @property
     def edges(self) -> frozenset[int]:
-        return frozenset(self._edge_ports)
-
-    def edge_ports(self, edge: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        return self._edge_ports[edge]
+        return frozenset(self.ports[1])
 
     def stats(self) -> tuple[int, int, int]:
         """Return (p, n, w): positive count, negative count, writhe."""
@@ -106,33 +105,25 @@ class Diagram:
     def faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Faces of the underlying 4-valent planar map.
 
-        Each face is the orbit of the corner-walk: arrive at port (c, s),
-        leave through slot (s + 1) % 4.  A face is recorded as the tuple
-        of its arrival ports.
+        Each face is the orbit of the corner-walk: arrive at port p,
+        leave through the next slot counterclockwise, port
+        ``p & ~3 | (p + 1) & 3``.  A face is recorded as the tuple of its
+        arrival ports, each as (crossing, slot).
         """
         if self._faces is not None:
             return self._faces
-        # directed occurrence = arrival port of an edge
-        nxt: dict[tuple[int, int], tuple[int, int]] = {}
-        for e, (p0, p1) in self._edge_ports.items():
-            for arrive in (p0, p1):
-                c, s = arrive
-                out_slot = (s + 1) % 4
-                out_edge = self.crossings[c].edges[out_slot]
-                q0, q1 = self._edge_ports[out_edge]
-                nxt[arrive] = q1 if q0 == (c, out_slot) else q0
+        far = self.ports[0]
+        seen = [False] * len(far)
         faces = []
-        seen: set[tuple[int, int]] = set()
-        for start in sorted(nxt):
-            if start in seen:
-                continue
+        for start in range(len(far)):
             orbit = []
-            cur = start
-            while cur not in seen:
-                seen.add(cur)
-                orbit.append(cur)
-                cur = nxt[cur]
-            faces.append(tuple(orbit))
+            p = start
+            while not seen[p]:
+                seen[p] = True
+                orbit.append(divmod(p, 4))
+                p = far[p & ~3 | (p + 1) & 3]
+            if orbit:
+                faces.append(tuple(orbit))
         self._faces = tuple(faces)
         return self._faces
 
@@ -170,41 +161,33 @@ class Diagram:
 # ---------------------------------------------------------------------------
 
 
-def walk_curves(quads: Sequence[tuple[int, int, int, int]],
-                ports: Mapping[int, tuple[tuple[int, int], ...]]):
-    """Trace the link components of the parsed quadruples for `_finish`.
+def _ports(quads: Sequence[Sequence[int]]) -> tuple[list[int], list[int],
+                                                    list[tuple[int, int]]]:
+    """The flat port numbering of the quadruples, port p = 4 * crossing +
+    slot; every label must occur exactly twice.
 
-    Arriving at slot s of crossing c, a strand goes straight on through
-    slot ``s ^ 2`` and follows that edge to its far port.  Yields one
-    record per component: the cyclic list of ``(edge, arrival_port)``
-    pairs.  Components are started from the edges in ascending label
-    order, so each starts at its least edge and they come in the order
-    of their least edges.  (The circles of a smoothing turn at the
-    crossings instead; `Smoothing` traces them over flat port arrays.)
+    Returns ``(far, edge_at, arrivals)``: `far[p]` is the port at the
+    other end of the edge at port p, `edge_at[p]` the label of that edge,
+    and `arrivals` the pairs (edge, arrival port) in ascending label
+    order, the arrival port being the later of the edge's two ports.
     """
-    seen: set[int] = set()
-    for e0 in sorted(ports):
-        if e0 in seen:
-            continue
-        arrive = ports[e0][1]
-        cycle = []
-        e = e0
-        while e not in seen:
-            seen.add(e)
-            cycle.append((e, arrive))
-            c, s = arrive
-            out = (c, s ^ 2)
-            e = quads[c][out[1]]
-            p0, p1 = ports[e]
-            arrive = p1 if p0 == out else p0
-        yield cycle
+    edge_at = [e for q in quads for e in q]
+    far = [0] * len(edge_at)
+    first: dict[int, int] = {}
+    arrivals = []
+    for p, e in enumerate(edge_at):
+        p0 = first.setdefault(e, p)
+        if p0 != p:
+            far[p], far[p0] = p0, p
+            arrivals.append((e, p))
+    arrivals.sort()
+    return far, edge_at, arrivals
 
 
 def _finish(quads: Sequence[tuple[int, int, int, int]],
             mode: str = "pd",
-            directed: Optional[Mapping[int, tuple[tuple[int, int],
-                                                  tuple[int, int]]]] = None
-            ) -> Diagram:
+            directed: Optional[Mapping[int, int]] = None,
+            family_negative: Optional[int] = None) -> Diagram:
     """Build a Diagram from raw quadruples.
 
     mode="pd":   slot 0 of every quadruple is already the incoming
@@ -212,8 +195,13 @@ def _finish(quads: Sequence[tuple[int, int, int, int]],
                  constraints and checked for consistency.
     mode="auto": slot 0 only marks the under axis; each component is
                  oriented deterministically (or following `directed`,
-                 a map edge -> (tail port, head port)) and crossings are
-                 rotated by two slots where needed.
+                 a map edge -> head port) and crossings are rotated by
+                 two slots where needed.
+
+    Components are traced from the edges in ascending label order, so
+    each starts at its least edge and they come in the order of their
+    least edges.  A strand arriving at port p goes straight on through
+    port ``p ^ 2``.
     """
     quads = [tuple(int(x) for x in q) for q in quads]
     for q in quads:
@@ -227,66 +215,56 @@ def _finish(quads: Sequence[tuple[int, int, int, int]],
     if bad:
         raise DiagramError(f"edge labels {bad} do not appear exactly twice")
 
-    ports: dict[int, tuple[tuple[int, int], ...]] = {}
-    for ci, q in enumerate(quads):
-        for slot, e in enumerate(q):
-            ports.setdefault(e, ())
-            ports[e] = ports[e] + ((ci, slot),)
-
+    far, edge_at, arrivals = _ports(quads)
     components: list[tuple[int, ...]] = []
-    head: dict[int, tuple[int, int]] = {}  # port each edge points into
-    for cycle in walk_curves(quads, ports):
-        votes = []
+    head: dict[int, int] = {}  # port each edge points into
+    for e0, start in arrivals:
+        if e0 in head:
+            continue
+        cycle = [start]  # arrival ports along the strand
+        p = far[start ^ 2]
+        while p != start:
+            cycle.append(p)
+            p = far[p ^ 2]
         if mode == "pd":
-            # slot 0 is already the incoming under end: directed constraint
-            for e, (c, s) in cycle:
-                if s == 0:
-                    votes.append(True)
-                elif s == 2:
-                    votes.append(False)
-        elif directed:
-            for e, arr in cycle:
-                if e in directed:
-                    votes.append(arr == directed[e][1])
-        if votes and len(set(votes)) > 1:
+            # slot 0 is the incoming under end, slot 2 the outgoing one
+            votes = {p & 3 == 0 for p in cycle if not p & 1}
+        else:
+            votes = {p == directed[edge_at[p]] for p in cycle
+                     if edge_at[p] in directed}
+        if len(votes) > 1:
             raise DiagramError(
                 "inconsistent orientation inference on component containing "
-                f"edge {cycle[0][0]}")
+                f"edge {e0}")
+        edges = [edge_at[p] for p in cycle]
         if votes:
-            forward = votes[0]
-        elif mode == "pd":
-            forward = _label_forward(cycle)
+            forward = votes.pop()
         else:
-            forward = True
-        edges_in_order = [e for e, _ in cycle]
+            forward = mode != "pd" or _label_forward(edges)
         if not forward:
-            edges_in_order.reverse()
-        m = edges_in_order.index(min(edges_in_order))
-        components.append(tuple(edges_in_order[m:] + edges_in_order[:m]))
-        for e, arr in cycle:
-            p0, p1 = ports[e]
-            other = p1 if arr == p0 else p0
-            head[e] = arr if forward else other
+            edges.reverse()
+        m = edges.index(min(edges))
+        components.append(tuple(edges[m:] + edges[:m]))
+        for p in cycle:
+            head[edge_at[p]] = p if forward else far[p]
 
     crossings = []
     for ci, q in enumerate(quads):
-        incoming0 = head[q[0]] == (ci, 0)
-        if mode == "pd":
-            if not incoming0:
-                raise DiagramError(
-                    f"inconsistent orientation inference at crossing {ci + 1}")
-            final = q
-            off = 0
-        else:
-            final, off = (q, 0) if incoming0 else ((q[2], q[3], q[0], q[1]), 2)
-        over_in3 = head[final[3]] == (ci, (3 + off) % 4)
-        over_in1 = head[final[1]] == (ci, (1 + off) % 4)
+        p = 4 * ci
+        under_in0 = head[q[0]] == p
+        if mode == "pd" and not under_in0:
+            raise DiagramError(
+                f"inconsistent orientation inference at crossing {ci + 1}")
+        over_in1, over_in3 = head[q[1]] == p + 1, head[q[3]] == p + 3
         if over_in1 == over_in3:
             raise DiagramError(
                 f"inconsistent over-strand orientation at crossing {ci + 1}")
-        crossings.append(Crossing(tuple(final), +1 if over_in3 else -1))
+        if under_in0:
+            crossings.append(Crossing(q, +1 if over_in3 else -1))
+        else:  # rotate by two slots: slot 0 becomes the incoming under end
+            crossings.append(Crossing(q[2:] + q[:2], +1 if over_in1 else -1))
 
-    diagram = Diagram(tuple(crossings), tuple(components))
+    diagram = Diagram(tuple(crossings), tuple(components), family_negative)
     _check_planar(diagram)
     return diagram
 
@@ -298,43 +276,36 @@ def _check_planar(diagram: Diagram) -> None:
     n = diagram.n_total
     if n == 0:
         return
-    # connected pieces of the 4-valent graph
-    adj: dict[int, set[int]] = {c: set() for c in range(n)}
-    for e in diagram.edges:
-        (c1, _), (c2, _) = diagram.edge_ports(e)
-        adj[c1].add(c2)
-        adj[c2].add(c1)
-    seen: set[int] = set()
+    # connected pieces of the 4-valent graph, crossing c having ports 4c..4c+3
+    far = diagram.ports[0]
+    seen = [False] * n
     pieces = 0
     for c0 in range(n):
-        if c0 in seen:
+        if seen[c0]:
             continue
         pieces += 1
+        seen[c0] = True
         stack = [c0]
-        seen.add(c0)
         while stack:
             c = stack.pop()
-            for d in adj[c]:
-                if d not in seen:
-                    seen.add(d)
-                    stack.append(d)
+            for p in far[4 * c:4 * c + 4]:
+                if not seen[p >> 2]:
+                    seen[p >> 2] = True
+                    stack.append(p >> 2)
     if len(diagram.faces()) != n + 1 + pieces:
         raise DiagramError(
             "PD code is not planar (face count "
             f"{len(diagram.faces())}, expected {n + 1 + pieces})")
 
 
-def _label_forward(cycle) -> bool:
+def _label_forward(edges: list[int]) -> bool:
     """Fallback orientation for components with no under-passage.
 
     Orient so that the minimal edge label is followed by its smaller
     neighbour label (for sequentially labelled codes this is label + 1).
     """
-    edges = [e for e, _ in cycle]
     i = edges.index(min(edges))
-    succ = edges[(i + 1) % len(edges)]
-    pred = edges[(i - 1) % len(edges)]
-    return succ <= pred
+    return edges[(i + 1) % len(edges)] <= edges[i - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +373,7 @@ class _Builder:
         self.slots: list[list[Optional[int]]] = []
         self.next_edge = 1
         self.negative_mask = 0
-        self.directed: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
+        self.directed: dict[int, int] = {}  # edge -> head port
 
     def crossing(self, kind: str) -> int:
         """Add a crossing; kind is 'v+'/'v-' (vertical band crossing with
@@ -444,7 +415,7 @@ class _Builder:
         self.slots[a[0]][a[1]] = e
         self.slots[b[0]][b[1]] = e
         if forward:
-            self.directed[e] = (a, b)
+            self.directed[e] = 4 * b[0] + b[1]
         return e
 
     def finish(self) -> Diagram:
@@ -453,9 +424,8 @@ class _Builder:
             if any(x is None for x in q):
                 raise DiagramError(f"crossing {ci + 1} has unwired slots")
             quads.append(tuple(q))
-        d = _finish(quads, mode="auto",
-                    directed=self.directed if self.directed else None)
-        return Diagram(d.crossings, d.components, self.negative_mask)
+        return _finish(quads, mode="auto", directed=self.directed,
+                       family_negative=self.negative_mask)
 
 
 def _twist_band(b: _Builder, count: int, kind: str) -> dict[str, tuple[int, int]]:

@@ -3,8 +3,8 @@
 A Kauffman state is a bitmask over the crossings of a diagram (bit set =
 B label).  Smoothing resolves every crossing according to its label: A
 joins slots (0,1) and (2,3), B joins (1,2) and (3,0).  The resulting
-circles are traced over flat port arrays of the diagram (port
-4 * crossing + slot), turning at every crossing the way its smoothing
+circles are traced over the diagram's port numbering
+(`Diagram.ports`), turning at every crossing the way its smoothing
 joins the slots, and each crossing leaves a scar (blue for A, red for
 B) whose endpoints lie on one or two circles.
 
@@ -32,11 +32,12 @@ class SmoothingError(ValueError):
 class Smoothing:
     """The circles-and-scars picture of one Kauffman state.
 
-    Port p = 4 * crossing + slot.  A circle arriving at port p leaves
-    its crossing through port ``p ^ 1`` (A label) or ``p ^ 3`` (B label)
-    and arrives at the far end of that port's edge.  The circles are
-    started from the edges in ascending label order, so each starts at
-    its least edge and they come in the order of their least edges.
+    The circles are walked over `Diagram.ports` (port p = 4 * crossing +
+    slot).  A circle arriving at port p leaves its crossing through port
+    ``p ^ 1`` (A label) or ``p ^ 3`` (B label) and arrives at the far
+    end of that port's edge.  The circles are started from the edges'
+    arrival ports in ascending label order, so each starts at its least
+    edge and they come in the order of their least edges.
     Each step of the walk crosses one joined pair of slots, and records
     the circle as the pair's scar side.
 
@@ -55,7 +56,7 @@ class Smoothing:
     __slots__ = ("circles", "circle_of_edge", "min_edges", "scar_sides")
 
     def __init__(self, diagram: Diagram, labels: int):
-        far, edge_at, arrivals = diagram._port_arrays or _port_arrays(diagram)
+        far, edge_at, arrivals = diagram.ports
         circle_of: dict[int, int] = {}
         min_edges: list[int] = []
         # sides[2 c + t]: the circle through joined pair t of crossing c;
@@ -83,22 +84,6 @@ class Smoothing:
     def is_monochord(self, crossing_index: int) -> bool:
         s0, s1 = self.scar_sides[crossing_index]
         return s0 == s1
-
-
-def _port_arrays(diagram: Diagram) -> tuple:
-    """(far, edge_at, arrivals) of the diagram, built on its first
-    smoothing: `far[p]` is the port at the other end of the edge at port
-    p, `edge_at[p]` the label of that edge, and `arrivals` the pairs
-    (edge, arrival port) in ascending label order, the arrival port
-    being the later of the edge's two ports."""
-    edge_at = [e for cr in diagram.crossings for e in cr.edges]
-    far = [0] * len(edge_at)
-    for (c0, s0), (c1, s1) in diagram._edge_ports.values():
-        far[4 * c0 + s0], far[4 * c1 + s1] = 4 * c1 + s1, 4 * c0 + s0
-    arrivals = [(e, 4 * c + s)
-                for e, (_, (c, s)) in sorted(diagram._edge_ports.items())]
-    diagram._port_arrays = far, edge_at, arrivals
-    return diagram._port_arrays
 
 
 def smooth(diagram: Diagram, labels: int) -> Smoothing:

@@ -4,10 +4,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import khtorsion
 from khtorsion.cli import main
 from khtorsion.knotdata import HOPF_2
 
@@ -202,6 +207,22 @@ def test_bad_input_exit_code_without_traceback(capsys, tmp_path, argv,
     assert code == expected
     assert "Traceback" not in out + err
     assert err.startswith("rejected: " if expected == 3 else "error: ")
+
+
+def test_closed_stdout_pipe_exits_ok():
+    """A reader that closes the pipe before the command writes: exit 0
+    and nothing on stderr."""
+    src = str(Path(khtorsion.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "khtorsion.cli", "certify", "--monocircular",
+         "3,6", "--all-even", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 # at most about 6 crossings; the fixed lists pass the ladder hypotheses

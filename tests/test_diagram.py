@@ -2,9 +2,10 @@
 
 import pytest
 
-from khtorsion import (DiagramError, braid3_closure, monocircular,
-                       parse_pd, pretzel, rational, reorder_crossings)
-from khtorsion.knotdata import HOPF_2, KNOT_6_1
+from khtorsion import (DiagramError, braid3_closure, knotdata,
+                       monocircular, parse_pd, pretzel, rational,
+                       reorder_crossings)
+from khtorsion.knotdata import KNOT_6_1
 
 
 def test_parse_hopf_two_crossing():
@@ -20,14 +21,20 @@ def test_parse_accepts_brackets_and_json():
     assert a == b
 
 
-def test_parse_malformed_arity():
-    with pytest.raises(DiagramError):
-        parse_pd("X(1,2,3)")
-
-
-def test_parse_label_not_twice():
-    with pytest.raises(DiagramError):
-        parse_pd("X(1,2,3,4),X(1,2,3,5)")
+@pytest.mark.parametrize("text, message", [
+    pytest.param("X(1,2,3)", "malformed quadruple", id="arity"),
+    pytest.param("X(1,2,3,4),X(1,2,3,5)", "do not appear exactly twice",
+                 id="label-not-twice"),
+    pytest.param("hello world", "unrecognised PD syntax", id="garbage"),
+    # the trefoil with its third crossing rotated by two slots: the
+    # strand's under-passages vote for both orientations
+    pytest.param("X(1,4,2,5),X(3,6,4,1),X(6,3,5,2)",
+                 "inconsistent orientation inference on component",
+                 id="orientation-vote"),
+])
+def test_parse_errors(text, message):
+    with pytest.raises(DiagramError, match=message):
+        parse_pd(text)
 
 
 def test_parse_rejects_nonplanar():
@@ -39,18 +46,59 @@ def test_parse_rejects_nonplanar():
         parse_pd(bad)
 
 
-def test_parse_garbage():
-    with pytest.raises(DiagramError):
-        parse_pd("hello world")
-
-
 def test_every_edge_has_two_endpoints_in_families():
     for d in (pretzel([-1, 3]), rational([4, 2, 6]), braid3_closure([7, 2]),
               monocircular(3, 6)):
-        for e in d.edges:
-            assert len(d.edge_ports(e)) == 2
+        far = d.ports[0]
+        # each port is glued to one other port, and back
+        assert all(far[far[q]] == q != far[q] for q in range(len(far)))
+        assert len(d.edges) == 2 * d.n_total
         p, n, _ = d.stats()
         assert p + n == d.n_total
+
+
+def _diagrams_and_mirrors():
+    ds = [(name, parse_pd(getattr(knotdata, name))) for name in
+          ("KNOT_3_1", "KNOT_4_1", "KNOT_5_2", "KNOT_6_1", "HOPF_2",
+           "KNOT_9_42", "KNOT_9_42_MIRROR", "KNOT_9_42_CONWAY")]
+    ds += [(f"P{a}", pretzel(a)) for a in
+           ([-1, 3], [-3, 3, -3], [5, -3, 2, 3, -2], [-1, -1, -1, 6],
+            [2, -3, 4])]
+    ds += [(f"R{a}", rational(a)) for a in
+           ([4, 2, 6], [4, 2, 3], [3], [3, 2, -2, 2])]
+    ds += [(f"B{a}", braid3_closure(a)) for a in
+           ([7, 2], [3, 2, 3, 2], [2, 2], [3, -2, 2, 2])]
+    ds += [(f"D{h}", monocircular(*h)) for h in
+           ((1, 1), (3, 6), (5, 5), (7, 7))]
+    ds += [(name + "-mirror", d.mirror()) for name, d in ds]
+    return [pytest.param(d, id=name) for name, d in ds]
+
+
+@pytest.mark.parametrize("d", _diagrams_and_mirrors())
+def test_components_and_signs_from_crossings_alone(d):
+    """The strands read off `crossings` without any walker: the under
+    strand runs e0 -> e2, the over strand e3 -> e1 at a positive crossing
+    and e1 -> e3 at a negative one.  Each cycle, started at its least
+    edge and listed in order of least edge, is a component."""
+    succ = {}
+    for cr in d.crossings:
+        e0, e1, e2, e3 = cr.edges
+        succ[e0] = e2
+        if cr.sign > 0:
+            succ[e3] = e1
+        else:
+            succ[e1] = e3
+    assert sorted(succ) == sorted(d.edges)
+    cycles, seen = [], set()
+    for e in sorted(succ):
+        cycle = []
+        while e not in seen:
+            seen.add(e)
+            cycle.append(e)
+            e = succ[e]
+        if cycle:
+            cycles.append(tuple(cycle))
+    assert tuple(cycles) == d.components
 
 
 def test_knot_atlas_6_1_stats():
