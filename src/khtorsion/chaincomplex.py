@@ -13,13 +13,12 @@ state: which edges of the cube leave it, whether each merges or splits,
 and where the untouched circles go.  Circles are indexed by their least
 edge, so the untouched circles keep their order across an edge and
 their signs move with one mask and one shift, whatever the number of
-circles.  `_cube_edges` builds that table once per state and `_terms`
+circles.  `_cube_edges` builds that table for a state and `_terms`
 applies it to a sign mask; `_terms` is the one place where the
-merge/split rule lives.  `_add_differential` sums its terms into a
-chain's coefficients, and `boundary_matrix` writes them straight into
-the matrix.  Only the table of the last state is kept, since every
-caller walks its states in runs of equal labels (bases are sorted by
-labels).
+merge/split rule lives.  `differential` sums its terms into a chain's
+coefficients, and `boundary_matrix` writes them straight into the
+matrix, fetching one table per run of equal labels (bases are sorted
+by labels).
 """
 
 from __future__ import annotations
@@ -30,40 +29,40 @@ from .diagram import Diagram
 from .smoothing import Chain, EnhancedState, degrees, enumerate_states, smooth
 
 
-def _cache(diagram: Diagram) -> dict:
-    """The diagram's store of derived data: bases, matrices, SNFs, route
-    setups and the last cube-edge table."""
-    if diagram._solver is None:
-        diagram._solver = {}
-    return diagram._solver
-
-
 def differential(diagram: Diagram, arg) -> Chain:
     """d of an enhanced state or of a chain (extended linearly).
 
     The images of a chain's terms are summed into one coefficient map,
-    so the cost is linear in the number of terms."""
-    coeffs: dict[tuple[int, int], int] = {}
+    so the cost is linear in the number of terms.  The keys summed are
+    plain (labels, plus) tuples, which hash and compare equal to the
+    `EnhancedState` of the same pair."""
     if isinstance(arg, Chain):
-        for state, c in arg.coeffs.items():
-            _add_differential(diagram, state, c, coeffs)
-        i, j = arg.i, arg.j
+        items, i, j = arg.coeffs.items(), arg.i, arg.j
     else:
-        i, j = _add_differential(diagram, arg, 1, coeffs)
+        items = ((arg, 1),)
+        i, _, j = degrees(diagram, EnhancedState._make(arg))
+    coeffs: dict[tuple[int, int], int] = {}
+    for (labels, plus), scale in items:
+        for key, sign in _terms(plus, _cube_edges(diagram, labels)):
+            v = coeffs.get(key, 0) + sign * scale
+            if v:
+                coeffs[key] = v
+            else:
+                del coeffs[key]
     return Chain(diagram, i + 1, j,
                  {EnhancedState._make(s): c for s, c in coeffs.items()},
                  check=False)
 
 
-def _cube_edges(diagram: Diagram, labels: int) -> tuple:
+def _cube_edges(diagram: Diagram, labels: int) -> list:
     """The cube edges leaving the Kauffman state `labels`.
 
-    Returns (i, circles, edges) with one edge per A-labelled crossing x,
-    in increasing x: (new_labels, odd, merge, b0, b1, t0, t1, keep, down,
-    up).  odd is the parity of the B labels before x; b0, b1 are the
-    bits of the circles the scar touches (side0, side1) and t0, t1 those
-    of the circles it touches after the change.  The untouched circles
-    move by one mask and one shift: their target signs are
+    Returns one edge per A-labelled crossing x, in increasing x:
+    (new_labels, odd, merge, b0, b1, t0, t1, keep, down, up).  odd is
+    the parity of the B labels before x; b0, b1 are the bits of the
+    circles the scar touches (side0, side1) and t0, t1 those of the
+    circles it touches after the change.  The untouched circles move by
+    one mask and one shift: their target signs are
     ``plus & keep | plus >> down << up``.
 
     That holds because circles are indexed by their least edge, and a
@@ -81,13 +80,8 @@ def _cube_edges(diagram: Diagram, labels: int) -> tuple:
       (down = hi, up = hi + 1); c0, c1 come from the neighbour's scar
       sides at x.
 
-    In both cases keep = ((1 << hi) - 1) ^ (1 << lo).  The table of the
-    last state asked for is kept in the diagram's store.
+    In both cases keep = ((1 << hi) - 1) ^ (1 << lo).
     """
-    store = _cache(diagram)
-    last = store.get("edges")
-    if last is not None and last[0] == labels:
-        return last[1]
     sm = smooth(diagram, labels)
     edges = []
     k = 0  # number of B labels before the current crossing
@@ -108,9 +102,7 @@ def _cube_edges(diagram: Diagram, labels: int) -> tuple:
         edges.append((new_labels, k & 1, side0 != side1, 1 << side0,
                       1 << side1, t0, t1, ((1 << hi) - 1) ^ (1 << lo),
                       down, up))
-    table = (bin(labels).count("1"), sm.circles, edges)
-    store["edges"] = (labels, table)
-    return table
+    return edges
 
 
 def _terms(plus: int, edges: list):
@@ -133,23 +125,6 @@ def _terms(plus: int, edges: list):
             yield (new_labels, base | t1), sign
         else:  # - -> (-,-)
             yield (new_labels, base), sign
-
-
-def _add_differential(diagram: Diagram, state, scale: int,
-                      coeffs: dict) -> tuple[int, int]:
-    """Add scale * d(state) into coeffs; returns the (i, j) of the state.
-
-    The keys added are plain (labels, plus) tuples, which hash and
-    compare equal to the `EnhancedState` of the same pair."""
-    labels, plus = state
-    i, circles, edges = _cube_edges(diagram, labels)
-    for key, sign in _terms(plus, edges):
-        v = coeffs.get(key, 0) + sign * scale
-        if v:
-            coeffs[key] = v
-        else:
-            del coeffs[key]
-    return i, i + 2 * bin(plus).count("1") - circles
 
 
 def incidence(diagram: Diagram, s, t) -> int:
@@ -286,7 +261,7 @@ def boundary_matrix(diagram: Diagram, i: int, j: int,
     for col, (labels, plus) in enumerate(basis_from):
         if labels != last:
             last = labels
-            edges = _cube_edges(diagram, labels)[2]
+            edges = _cube_edges(diagram, labels)
         for key, sign in _terms(plus, edges):
             rows[index[key]][col] = sign
     return mat

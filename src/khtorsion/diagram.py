@@ -45,6 +45,9 @@ class Diagram:
     Instances should be produced by `parse_pd`, the family constructors
     or `reorder_crossings`, never by mutating an existing diagram.
     `ports` holds the read-only ``(far, edge_at, arrivals)`` of `_ports`.
+    Everything else derived from the diagram is built on first use and
+    kept through `cached`; the smoothings keep their own map, read by
+    `smoothing.smooth`.
     """
 
     __slots__ = (
@@ -53,8 +56,7 @@ class Diagram:
         "family_negative",
         "ports",
         "_smooth_cache",
-        "_faces",
-        "_solver",
+        "_store",
     )
 
     def __init__(self, crossings: tuple[Crossing, ...],
@@ -68,8 +70,16 @@ class Diagram:
         self.family_negative = family_negative
         self.ports = _ports([cr.edges for cr in crossings])
         self._smooth_cache: dict[int, object] = {}
-        self._faces: Optional[tuple] = None
-        self._solver = None
+        self._store: dict = {}
+
+    def cached(self, key, build):
+        """The derived data under `key`: `build()` on first use, kept
+        for the life of the diagram.  Nothing is kept when `build`
+        raises."""
+        store = self._store
+        if key not in store:
+            store[key] = build()
+        return store[key]
 
     # -- basic data -------------------------------------------------------
 
@@ -108,31 +118,32 @@ class Diagram:
         Each face is the orbit of the corner-walk: arrive at port p,
         leave through the next slot counterclockwise, port
         ``p & ~3 | (p + 1) & 3``.  A face is recorded as the tuple of its
-        arrival ports, each as (crossing, slot).
+        arrival ports, each as (crossing, slot).  Every orbit starts at
+        its least port, so a face begins at its least crossing.
         """
-        if self._faces is not None:
-            return self._faces
-        far = self.ports[0]
-        seen = [False] * len(far)
-        faces = []
-        for start in range(len(far)):
-            orbit = []
-            p = start
-            while not seen[p]:
-                seen[p] = True
-                orbit.append(divmod(p, 4))
-                p = far[p & ~3 | (p + 1) & 3]
-            if orbit:
-                faces.append(tuple(orbit))
-        self._faces = tuple(faces)
-        return self._faces
+        def walk():
+            far = self.ports[0]
+            seen = [False] * len(far)
+            faces = []
+            for start in range(len(far)):
+                orbit = []
+                p = start
+                while not seen[p]:
+                    seen[p] = True
+                    orbit.append(divmod(p, 4))
+                    p = far[p & ~3 | (p + 1) & 3]
+                if orbit:
+                    faces.append(tuple(orbit))
+            return tuple(faces)
+        return self.cached("faces", walk)
 
     def bigons(self) -> dict[tuple[int, int], list[tuple[int, int, frozenset[int]]]]:
-        """Bigon faces, keyed by the (unordered) crossing pair.
+        """Bigon faces, keyed by the crossing pair (x, y) with x < y.
 
         The value records, per bigon face, the corner slots at either
         crossing and the two boundary edges: ``(slot_x, slot_y, {e, f})``
-        where the face arrives at crossing x in slot slot_x.
+        where the face arrives at crossing x in slot slot_x.  A face
+        begins at its least crossing, so its corners come as (x, y).
         """
         out: dict[tuple[int, int], list[tuple[int, int, frozenset[int]]]] = {}
         for face in self.faces():
@@ -143,10 +154,7 @@ class Diagram:
                 continue
             e = self.crossings[cx].edges[sx]
             f = self.crossings[cy].edges[sy]
-            key = (min(cx, cy), max(cx, cy))
-            if cx > cy:
-                sx, sy = sy, sx
-            out.setdefault(key, []).append((sx, sy, frozenset((e, f))))
+            out.setdefault((cx, cy), []).append((sx, sy, frozenset((e, f))))
         return out
 
     def mirror(self) -> "Diagram":

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .chaincomplex import SparseIntMatrix, _cache, boundary_matrix, differential
+from .chaincomplex import SparseIntMatrix, boundary_matrix, differential
 from .diagram import Diagram
 from .smoothing import Chain, EnhancedState, enumerate_states, smooth
 
@@ -363,30 +363,20 @@ def _col_gcd_step(vcols, c1, c2, a, b, x, y):
 
 
 def basis(diagram: Diagram, i: int, j: int) -> list[EnhancedState]:
-    key = ("basis", i, j)
-    store = _cache(diagram)
-    if key not in store:
-        store[key] = enumerate_states(diagram, i, j)
-    return store[key]
+    return diagram.cached(("basis", i, j),
+                          lambda: enumerate_states(diagram, i, j))
 
 
 def matrix_d(diagram: Diagram, i: int, j: int) -> SparseIntMatrix:
     """Boundary matrix d_i at quantum degree j (cached)."""
-    key = ("mat", i, j)
-    store = _cache(diagram)
-    if key not in store:
-        store[key] = boundary_matrix(diagram, i, j,
-                                     basis(diagram, i, j),
-                                     basis(diagram, i + 1, j))
-    return store[key]
+    return diagram.cached(("mat", i, j), lambda: boundary_matrix(
+        diagram, i, j, basis(diagram, i, j), basis(diagram, i + 1, j)))
 
 
 def _snf(diagram: Diagram, i: int, j: int, transforms: bool) -> SNFResult:
-    key = ("snft" if transforms else "snf", i, j)
-    store = _cache(diagram)
-    if key not in store:
-        store[key] = smith_normal_form(matrix_d(diagram, i, j), transforms)
-    return store[key]
+    return diagram.cached(
+        ("snft" if transforms else "snf", i, j),
+        lambda: smith_normal_form(matrix_d(diagram, i, j), transforms))
 
 
 def cancel_units(assemble: Callable[..., SparseIntMatrix],
@@ -433,9 +423,7 @@ def _reduced(diagram: Diagram, j: int) -> list[SNFResult]:
     `cancel_units` (cached per j); its `ncols` counts the generators of
     C^{i,j} that survive.  Each d_i is assembled on the generators that
     d_{i-1} left, and no full matrix is kept."""
-    key = ("reduced", j)
-    store = _cache(diagram)
-    if key not in store:
+    def reduce():
         bases = [enumerate_states(diagram, i, j)
                  for i in range(diagram.n_total + 1)] + [[]]
 
@@ -443,9 +431,9 @@ def _reduced(diagram: Diagram, j: int) -> list[SNFResult]:
             live = bases[i] if keep is None else [bases[i][c] for c in keep]
             return boundary_matrix(diagram, i, j, live, bases[i + 1])
 
-        store[key] = [smith_normal_form(m, transforms=False)
-                      for m in cancel_units(assemble, diagram.n_total + 1)]
-    return store[key]
+        return [smith_normal_form(m, transforms=False)
+                for m in cancel_units(assemble, diagram.n_total + 1)]
+    return diagram.cached(("reduced", j), reduce)
 
 
 def homology_at(diagram: Diagram, i: int, j: int) -> tuple[int, tuple[int, ...]]:

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .chaincomplex import _add_differential, _cache, differential
+from .chaincomplex import _cube_edges, _terms, differential
 from .diagram import Diagram
 from .homology import class_order
 from .ladders import (HypothesisReport, Ladder, break_ladders,
@@ -284,11 +284,14 @@ def verify_evenness(module: EvenModule, diagram: Diagram) -> bool:
     below = sorted({labels ^ (1 << x) for labels, _ in module.basis
                     if bin(labels).count("1") == module.i
                     for x in range(diagram.n_total) if labels >> x & 1})
-    coeffs: dict[tuple[int, int], int] = {}
-    for y in _enhancements(diagram, below, module.i - 1, module.j):
-        coeffs.clear()
-        _add_differential(diagram, y, 1, coeffs)
-        if sum(c for s, c in coeffs.items() if s in module.basis) % 2:
+    last = edges = None
+    for labels, plus in _enhancements(diagram, below, module.i - 1, module.j):
+        if labels != last:
+            last = labels
+            edges = _cube_edges(diagram, labels)
+        # a state's terms have distinct keys: no coefficient map needed
+        if sum(sign for key, sign in _terms(plus, edges)
+               if key in module.basis) % 2:
             return False
     return True
 
@@ -396,11 +399,8 @@ class RouteSetup(NamedTuple):
 def checked_hypotheses(diagram: Diagram, s0: int) -> HypothesisReport:
     """`check_hypotheses` for s0, stored with the diagram's other
     per-diagram data so that one diagram and state is checked once."""
-    store = _cache(diagram)
-    key = ("hypotheses", s0)
-    if key not in store:
-        store[key] = check_hypotheses(diagram, s0)
-    return store[key]
+    return diagram.cached(("hypotheses", s0),
+                          lambda: check_hypotheses(diagram, s0))
 
 
 def route_setup(diagram: Diagram, s0: int) -> RouteSetup:
@@ -411,11 +411,7 @@ def route_setup(diagram: Diagram, s0: int) -> RouteSetup:
     one ladder-first diagram and its smoothing and SNF caches.  Raises
     HypothesisRejected (not stored) when no route applies.
     """
-    store = _cache(diagram)
-    key = ("route", s0)
-    if key not in store:
-        store[key] = _route_setup(diagram, s0)
-    return store[key]
+    return diagram.cached(("route", s0), lambda: _route_setup(diagram, s0))
 
 
 def _route_setup(diagram: Diagram, s0: int) -> RouteSetup:

@@ -268,3 +268,48 @@ def test_cli_fuzz_exit_codes(argv):
             code = exc.code
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading, fence):
+    """The first `fence` code block after the README heading."""
+    text = README.read_text()
+    body = text[text.index(heading):]
+    start = body.index(fence) + len(fence)
+    return body[start:body.index("```", start)]
+
+
+def _readme_commands():
+    lines = [line.split("#")[0].split()
+             for line in _readme_block("## CLI", "```sh").splitlines()]
+    return [pytest.param(argv[1:], id=" ".join(argv[1:3]))
+            for argv in lines if argv[:1] == ["khtorsion"]]
+
+
+@pytest.mark.parametrize("argv", _readme_commands())
+def test_readme_cli_lines_exit_ok(capsys, tmp_path, argv):
+    # `--pd diagram.pd` reads a file holding the 6_1 PD code
+    from khtorsion.knotdata import KNOT_6_1
+    pd_file = tmp_path / "diagram.pd"
+    pd_file.write_text(KNOT_6_1)
+    argv = [str(pd_file) if a == "diagram.pd" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, ""), argv
+    assert out
+
+
+def test_readme_cli_block_is_read():
+    # an empty parametrization would pass silently
+    assert len(_readme_commands()) >= 8
+
+
+def test_readme_library_sketch_values():
+    # the sketch runs as written, and its commented values hold
+    ns = {}
+    exec(_readme_block("## Library sketch", "```python"), ns)
+    assert tuple(l.height for l in ns["ladders"]) == (3, 6)
+    assert (ns["cert"].i, ns["cert"].j) == (5, 7)
+    assert ns["cert"].order == 2
+    assert ns["khovanov_table"](ns["d"]).entry_hq(3, 9) == (1, (2, 2))

@@ -11,7 +11,7 @@ from khtorsion import (Chain, EnhancedState, boundary_matrix, differential,
                        monocircular, parse_pd, pretzel, reorder_crossings,
                        smooth)
 from khtorsion import chaincomplex
-from khtorsion.chaincomplex import _add_differential, _cache, _cube_edges
+from khtorsion.chaincomplex import _cube_edges
 from khtorsion.knotdata import HOPF_2, KNOT_3_1
 
 
@@ -266,9 +266,8 @@ def test_cube_edges_transport_matches_per_circle_map():
                     odd = bin(labels & ((1 << x) - 1)).count("1") & 1
                     for t in targets:
                         expected[(new_labels, t)] = -1 if odd else 1
-                coeffs = {}
-                _add_differential(d, (labels, plus), 1, coeffs)
-                assert coeffs == expected
+                assert differential(
+                    d, EnhancedState(labels, plus)).coeffs == expected
     assert six
 
 
@@ -289,9 +288,6 @@ def test_cube_edges_smooth_only_the_state_and_its_splits(monkeypatch):
             splits = [labels | 1 << x
                       for x, (side0, side1) in enumerate(sm.scar_sides)
                       if not labels >> x & 1 and side0 == side1]
-            _cache(d).pop("edges", None)
             calls.clear()
             _cube_edges(d, labels)
-            assert calls == [labels] + splits
-            _cube_edges(d, labels)  # the last table is kept
             assert calls == [labels] + splits

@@ -174,3 +174,15 @@ def test_reorder_permutes_crossings():
     d2 = reorder_crossings(d, [3, 2, 1, 0])
     assert d2.crossings[0] == d.crossings[3]
     assert d2.crossings != d.crossings
+
+
+@pytest.mark.parametrize("d", _diagrams_and_mirrors())
+def test_every_face_begins_at_its_least_port(d):
+    """`faces()` starts each orbit at its least unseen port, so each face
+    begins at its least (crossing, slot) and a bigon's first corner lies
+    at the smaller crossing; every port arrives in exactly one face."""
+    faces = d.faces()
+    assert all(face[0] == min(face) for face in faces)
+    assert sorted(c for face in faces for c in face) == [
+        divmod(p, 4) for p in range(4 * d.n_total)]
+    assert all(x < y for x, y in d.bigons())

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 
 from conftest import family_diagrams
 from khtorsion import (Chain, NotACycleError, SizeGuardError, SparseIntMatrix,
-                       boundary_matrix, class_order, differential,
-                       enumerate_states, homology_at, is_exact,
+                       boundary_matrix, braid3_closure, class_order,
+                       differential, enumerate_states, homology_at, is_exact,
                        khovanov_table, monocircular, parse_pd, pretzel,
                        rational, smith_normal_form, smooth)
 from khtorsion.knotdata import HOPF_2, KNOT_3_1, KNOT_6_1, KNOT_9_42
@@ -438,7 +438,6 @@ def test_table_never_assembles_a_cancelled_target(name, monkeypatch):
     are such targets, so the table assembles (G + R) / 2 columns; with
     every d_i assembled in full it would be G."""
     from khtorsion import homology
-    from khtorsion.chaincomplex import _cache
     assembled = []
 
     def counting(*args):
@@ -450,8 +449,13 @@ def test_table_never_assembles_a_cancelled_target(name, monkeypatch):
     d = TABLE_DIAGRAMS[name]()
     khovanov_table(d)
     g = sum(1 << smooth(d, labels).circles for labels in range(1 << d.n_total))
-    r = sum(snf.ncols for key, snfs in _cache(d).items()
-            if key[0] == "reduced" for snf in snfs)
+    js = {bin(labels).count("1") + smooth(d, labels).circles - 2 * k
+          for labels in range(1 << d.n_total)
+          for k in range(smooth(d, labels).circles + 1)}
+    before = len(assembled)
+    # the residuals the table kept: every _reduced call is a cache hit
+    r = sum(snf.ncols for j in js for snf in homology._reduced(d, j))
+    assert len(assembled) == before
     assert r < g
     assert 2 * sum(assembled) == g + r
 
@@ -543,3 +547,72 @@ def test_reduction_against_full_snf_and_mirror_duality(d):
                  | {(1 - h, -q) for h, q in hqs}):
         assert tm.entry_hq(h, q)[0] == t.entry_hq(-h, -q)[0]
         assert tm.entry_hq(h, q)[1] == t.entry_hq(1 - h, -q)[1]
+
+
+def _f2_dims(hq):
+    """dim Kh^{h,q}(F_2) = free(h, q) + t_2(h, q) + t_2(h+1, q), t_2
+    counting the even invariant factors (universal coefficients)."""
+    dims = {}
+    for (h, q), (free, tors) in hq.items():
+        t2 = sum(1 for f in tors if f % 2 == 0)
+        dims[h, q] = dims.get((h, q), 0) + free + t2
+        if t2:
+            dims[h - 1, q] = dims.get((h - 1, q), 0) + t2
+    return dims
+
+
+def _nu_splits(hq):
+    """Shumakovitch's check (arXiv math/0405474): Kh(L; F_2) carries an
+    acyclic differential nu of bidegree (0, 2), so in each column h the
+    F_2 dimensions d_q, read upward in steps of 2, split as
+    d_q = r_q + r_{q-2} with every r_q >= 0 and the last r_q = 0."""
+    columns = {}
+    for (h, q), dim in _f2_dims(hq).items():
+        columns.setdefault(h, {})[q] = dim
+    for dims in columns.values():
+        lo, hi = min(dims), max(dims)
+        if any((q - lo) % 2 for q in dims):
+            return False
+        r = 0
+        for q in range(lo, hi + 1, 2):
+            r = dims.get(q, 0) - r
+            if r < 0:
+                return False
+        if r:
+            return False
+    return True
+
+
+def _nu_diagrams():
+    """The acceptance corpus and its mirrors, and the benchmark's `table`
+    workload items of up to 10 crossings."""
+    from test_acceptance import _corpus
+    ds = [(f"corpus{k}", d) for k, d in enumerate(_corpus())]
+    ds += [(name + "-mirror", d.mirror()) for name, d in ds]
+    ds += [(name, make()) for name, make in TABLE_DIAGRAMS.items()]
+    ds += [("braid3(3,2,3,2)", braid3_closure([3, 2, 3, 2])),
+           ("D(5,5)", monocircular(5, 5))]
+    return [pytest.param(d, id=name) for name, d in ds]
+
+
+@pytest.mark.parametrize("d", _nu_diagrams())
+def test_shumakovitch_nu_splits_the_f2_table(d):
+    assert _nu_splits(khovanov_table(d).hq_entries())
+
+
+@pytest.mark.parametrize("name", ["6_1", "D(3,6)", "P(-3,3,-3)", "Hopf"])
+def test_nu_check_rejects_one_entry_mutations(name):
+    # dropping a Z2, adding a Z2 or raising a free rank by 1 makes the
+    # total of a column odd, which no split d_q = r_q + r_{q-2} gives
+    d = (pretzel([-1, 3]) if name == "Hopf" else TABLE_DIAGRAMS[name]())
+    hq = khovanov_table(d).hq_entries()
+    assert _nu_splits(hq)
+    mutants = []
+    for key, (free, tors) in hq.items():
+        if 2 in tors:
+            rest = list(tors)
+            rest.remove(2)
+            mutants.append({**hq, key: (free, tuple(rest))})
+        mutants.append({**hq, key: (free, tors + (2,))})
+        mutants.append({**hq, key: (free + 1, tors)})
+    assert not any(_nu_splits(m) for m in mutants)

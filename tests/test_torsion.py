@@ -120,6 +120,22 @@ def test_build_even_module_rejects_red_monochord():
     assert "crossing 1" in str(err.value)
 
 
+def test_build_even_module_over_several_base_states():
+    # base states in one bidegree: the union of their one-minus bases;
+    # a base state in another bidegree is rejected
+    e = certify_torsion(monocircular(3, 6), 0, (2, 2)).diagram
+    m1, m2 = (build_even_module(e, [s]) for s in (0x1f, 0x2f))
+    module = build_even_module(e, [0x2f, 0x1f])
+    assert (module.i, module.j) == (m1.i, m1.j) == (m2.i, m2.j) == (5, 7)
+    assert module.base_states == {0x1f, 0x2f}
+    assert module.basis == m1.basis | m2.basis
+    assert len(module.basis) == len(m1.basis) + len(m2.basis) == 8
+    m3 = build_even_module(e, [0x3f])
+    assert (m3.i, m3.j) == (6, 9)
+    with pytest.raises(EvenModuleError, match="single bidegree"):
+        build_even_module(e, [0x1f, 0x3f])
+
+
 def test_empty_module_is_even():
     d = pretzel([1])
     module = build_even_module(d, [])
@@ -211,9 +227,9 @@ def test_verify_evenness_equals_full_walk():
 
 
 def test_verify_evenness_walks_one_label_below_the_basis(count_calls):
-    # one _add_differential call per generator of C^{i-1,j} one B label
-    # below a basis state, a small part of the whole degree
-    calls = count_calls("_add_differential")
+    # one _terms call per generator of C^{i-1,j} one B label below a
+    # basis state, a small part of the whole degree
+    calls = count_calls("_terms")
     walked = total = 0
     for d, s0, tuples in ((monocircular(3, 6), 0, [(2, 2), (2, 4), (2, 6)]),
                           (pretzel([5, -3, 2, 3, -2]), None,
@@ -229,9 +245,9 @@ def test_verify_evenness_walks_one_label_below_the_basis(count_calls):
                     if any(y.labels | (1 << x) in labels
                            for x in range(e.n_total)
                            if not y.labels >> x & 1)]
-            before = calls["_add_differential"]
+            before = calls["_terms"]
             assert verify_evenness(module, e)
-            assert calls["_add_differential"] - before == len(near), mu
+            assert calls["_terms"] - before == len(near), mu
             walked += len(near)
             total += len(full)
     assert 100 * walked < total, (walked, total)
@@ -572,23 +588,37 @@ def test_rational_torsion_exists_cases():
         assert r.report.route == "theorem"
 
 
-def test_grid_counts_match_homology_torsion_census():
-    # the grid's per-degree class counts against the actual integral
-    # homology of every D(h1, h2) with 2 <= h1 <= h2 and h1 + h2 <= 10:
-    # any discrepancy would flag torsion beyond the two patterns
+def _census(h1, h2):
+    """The grid's per-degree class counts of D(h1, h2) against its
+    integral homology: any discrepancy would flag torsion beyond the two
+    patterns."""
     from khtorsion import khovanov_table
+    table = khovanov_table(monocircular(h1, h2))
+    per_i = {}
+    for (i, j), (_, tors) in table.entries.items():
+        per_i[i] = per_i.get(i, 0) + len(tors)
+    g = grid(h1, h2)
+    for i in set(per_i) | set(range(1, len(g.counts) + 1)):
+        assert per_i.get(i, 0) == g.count_at(i), (h1, h2, i)
+
+
+def test_grid_counts_match_homology_torsion_census():
+    # every D(h1, h2) with 2 <= h1 <= h2 and h1 + h2 <= 10
     checked = 0
     for h1 in range(2, 6):
         for h2 in range(h1, 11 - h1):
-            table = khovanov_table(monocircular(h1, h2))
-            per_i = {}
-            for (i, j), (_, tors) in table.entries.items():
-                per_i[i] = per_i.get(i, 0) + len(tors)
-            g = grid(h1, h2)
-            for i in set(per_i) | set(range(1, len(g.counts) + 1)):
-                assert per_i.get(i, 0) == g.count_at(i), (h1, h2, i)
+            _census(h1, h2)
             checked += 1
     assert checked == 16
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("h1, h2", [(h1, s - h1) for s in (11, 12)
+                                    for h1 in range(2, s // 2 + 1)])
+def test_grid_counts_match_homology_torsion_census_to_12(h1, h2):
+    # h1 + h2 in {11, 12}: D(2, n) = P(-1, -1, n) is a twist knot, so
+    # this is the paper's "all torsion of small twist knots"
+    _census(h1, h2)
 
 
 # the family diagrams of up to 10 crossings whose hypotheses hold
