@@ -130,10 +130,8 @@ def cmd_certify(args) -> int:
     if args.all_even:
         # the setup every certificate below reuses
         mus = all_even_tuples(route_setup(d, s0).report.mu_heights())
-    elif args.mu:
-        mus = [tuple(args.mu)]
     else:
-        raise dg.DiagramError("certify needs --mu or --all-even")
+        mus = [tuple(args.mu)]
     out = []
     for mu in mus:
         cert = certify_torsion(d, s0, mu, verify_even=args.verify_even,
@@ -212,9 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default="sA",
                    help="initial Kauffman state: sA (default), signed, or a "
                         "hex B-mask")
-    p.add_argument("--mu", type=_int_list,
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--mu", type=_int_list,
                    help="subset sizes, one per periphery-one ladder")
-    p.add_argument("--all-even", action="store_true",
+    g.add_argument("--all-even", action="store_true",
                    help="emit certificates for every all-even admissible "
                         "tuple")
     p.add_argument("--verify-oracle", action="store_true",

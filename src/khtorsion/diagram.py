@@ -280,7 +280,9 @@ def _finish(quads: Sequence[tuple[int, int, int, int]],
 def _check_planar(diagram: Diagram) -> None:
     """Euler-characteristic planarity check: a code whose face count is
     wrong cannot come from a planar drawing, and the face-based
-    machinery downstream would silently misbehave."""
+    machinery downstream would silently misbehave.  Each connected
+    piece drawn on its own sphere has n_piece + 2 faces, so a planar
+    diagram of n crossings in `pieces` pieces has n + 2 * pieces."""
     n = diagram.n_total
     if n == 0:
         return
@@ -300,10 +302,10 @@ def _check_planar(diagram: Diagram) -> None:
                 if not seen[p >> 2]:
                     seen[p >> 2] = True
                     stack.append(p >> 2)
-    if len(diagram.faces()) != n + 1 + pieces:
+    if len(diagram.faces()) != n + 2 * pieces:
         raise DiagramError(
             "PD code is not planar (face count "
-            f"{len(diagram.faces())}, expected {n + 1 + pieces})")
+            f"{len(diagram.faces())}, expected {n + 2 * pieces})")
 
 
 def _label_forward(edges: list[int]) -> bool:

@@ -12,9 +12,9 @@ criterion is the definition used throughout.
 The periphery number of a ladder counts the outer circles obtained by
 cutting all the ladders of the state at once: relabel every step of
 every ladder to B, count the distinct circles incident to this ladder's
-step scars, and subtract (height - 1); the result is 1 or 2.  It is
-unchanged by relabelings away from the steps that keep the ladder a
-ladder.
+step scars, and subtract (height - 1); the result is 1 or 2.  Every
+blue scar is a step of some ladder, so the cut state is the all-B state
+and the periphery number depends only on the ladder's steps.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .diagram import Diagram, reorder_crossings
-from .smoothing import smooth
+from .smoothing import Smoothing, smooth, state_B
 
 
 class LadderError(ValueError):
@@ -62,101 +62,68 @@ class Ladder:
                 "periphery": self.periphery_number}
 
 
-def _blue_adjacencies(diagram: Diagram, labels: int):
-    """Pairs of blue crossings joined by a ladder bigon, with the bigon
-    edges; doubled bigons yield one adjacency."""
-    adj: dict[tuple[int, int], list[frozenset[int]]] = {}
-    for (x, y), corners in diagram.bigons().items():
-        if labels >> x & 1 or labels >> y & 1:
-            continue
-        for sx, sy, edges in corners:
-            if sx % 2 == 1 and sy % 2 == 1:
-                adj.setdefault((x, y), []).append(edges)
-    return adj
-
-
 def detect_ladders(diagram: Diagram, labels: int) -> tuple[Ladder, ...]:
     """Partition the blue scars of the state into maximal ladders.
 
     Ladders are ordered by their minimal crossing index; within one
     ladder the steps start from the end carrying the smaller index.
+    Every blue scar is a step of some ladder, so cutting all of them
+    gives the all-B state: each periphery number is read off that one
+    smoothing and depends only on the ladder's steps.
     """
-    blue = [x for x in range(diagram.n_total) if not labels >> x & 1]
-    adj = _blue_adjacencies(diagram, labels)
-    nbr: dict[int, list[int]] = {x: [] for x in blue}
-    for (x, y) in adj:
-        nbr[x].append(y)
-        nbr[y].append(x)
-
+    nbr: dict[int, list[int]] = {x: [] for x in range(diagram.n_total)
+                                 if not labels >> x & 1}
+    gaps: dict[tuple[int, int], frozenset[int]] = {}
+    for (x, y), corners in diagram.bigons().items():
+        edges = [e for sx, sy, e in corners if sx % 2 and sy % 2]
+        if edges and x in nbr and y in nbr:
+            # a doubled bigon yields one adjacency
+            gaps[x, y] = gaps[y, x] = min(edges, key=sorted)
+            nbr[x].append(y)
+            nbr[y].append(x)
+    runs = []
     seen: set[int] = set()
-    raw = []
-    cut_mask = 0
-    for x0 in blue:
-        if x0 in seen:
-            continue
-        comp = _component(x0, nbr)
-        seen.update(comp)
-        steps = _path_order(comp, nbr)
-        gaps = []
-        for a, b in zip(steps, steps[1:]):
-            key = (min(a, b), max(a, b))
-            gaps.append(min(adj[key], key=sorted))
-        raw.append((tuple(steps), tuple(gaps)))
-        for s in steps:
-            cut_mask |= 1 << s
-    ladders = [Ladder(steps, gaps,
-                      _periphery(diagram, labels | cut_mask, steps))
-               for steps, gaps in raw]
-    ladders.sort(key=lambda l: min(l.steps))
-    return tuple(ladders)
+    for x0 in nbr:
+        if x0 not in seen:
+            steps = _run(x0, nbr)
+            seen.update(steps)
+            runs.append(steps)
+    # labels | all-B is the all-B state, and a SmoothingError for a
+    # mask wider than the diagram
+    cut = smooth(diagram, labels | state_B(diagram))
+    return tuple(
+        Ladder(steps, tuple(gaps[a, b] for a, b in zip(steps, steps[1:])),
+               _periphery(cut, steps))
+        for steps in runs)
 
 
-def _component(x0: int, nbr: dict[int, list[int]]) -> list[int]:
-    comp = [x0]
-    seen = {x0}
-    stack = [x0]
-    while stack:
-        x = stack.pop()
-        for y in nbr[x]:
-            if y not in seen:
-                seen.add(y)
-                comp.append(y)
-                stack.append(y)
-    return comp
+def _run(x0: int, nbr: dict[int, list[int]]) -> tuple[int, ...]:
+    """The run of blue scars through x0, the least crossing of its run,
+    ordered from its end with the smaller index.
+
+    A crossing has two corners that its B-smoothing joins, so a scar has
+    at most two neighbours, and a run is a path or a closed loop.  Both
+    arms are walked out from x0; an arm that comes back to x0 has walked
+    the whole loop, which is not a ladder.
+    """
+    arms = [[], []]
+    for arm, cur in zip(arms, nbr[x0]):
+        prev = x0
+        while cur is not None:
+            if cur == x0:
+                raise LadderError(
+                    f"blue scars {sorted(c + 1 for c in [x0] + arm)} do not "
+                    "form a ladder (branched or closed run of parallel "
+                    "scars)")
+            arm.append(cur)
+            prev, cur = cur, next((y for y in nbr[cur] if y != prev), None)
+    steps = arms[0][::-1] + [x0] + arms[1]
+    return tuple(steps if steps[0] < steps[-1] else steps[::-1])
 
 
-def _path_order(comp: list[int], nbr: dict[int, list[int]]) -> list[int]:
-    if len(comp) == 1:
-        return comp
-    degrees = {x: len(set(nbr[x]) & set(comp)) for x in comp}
-    ends = sorted(x for x, d in degrees.items() if d == 1)
-    if len(comp) == 2 and not ends:
-        # two steps joined by a doubled bigon (degenerate two-crossing circle)
-        return sorted(comp)
-    if len(ends) != 2 or any(d > 2 for d in degrees.values()):
-        raise LadderError(
-            f"blue scars {sorted(c + 1 for c in comp)} do not form a ladder "
-            "(branched or closed run of parallel scars)")
-    start = ends[0]
-    order = [start]
-    prev = None
-    cur = start
-    while len(order) < len(comp):
-        nxt = [y for y in nbr[cur] if y != prev and y in comp]
-        nxt = sorted(set(nxt))
-        if not nxt:
-            raise LadderError("broken ladder path")
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return order
-
-
-def _periphery(diagram: Diagram, cut_labels: int, steps: tuple[int, ...]) -> int:
-    """Periphery count in the all-ladders-cut state."""
-    sm = smooth(diagram, cut_labels)
-    incident = set()
-    for s in steps:
-        incident.update(sm.scar_sides[s])
+def _periphery(cut: Smoothing, steps: tuple[int, ...]) -> int:
+    """Periphery count of the steps in the all-B smoothing `cut`."""
+    incident = {c for s in steps for c in cut.scar_sides[s]}
     periphery = len(incident) - (len(steps) - 1)
     if periphery not in (1, 2):
         raise LadderError(
@@ -168,13 +135,13 @@ def _periphery(diagram: Diagram, cut_labels: int, steps: tuple[int, ...]) -> int
 def periphery_number(diagram: Diagram, labels: int, ladder: Ladder) -> int:
     """Periphery number of a ladder of this state.
 
-    Every ladder of the state is cut (its steps relabelled B) and the
-    circles incident to this ladder's steps are counted.
+    Cutting every ladder of the state relabels every blue scar B, so the
+    circles incident to the ladder's steps are counted in the all-B
+    smoothing.  Raises LadderError when the blue scars of the state do
+    not form ladders.
     """
-    cut = labels
-    for other in detect_ladders(diagram, labels):
-        cut |= other.step_mask()
-    return _periphery(diagram, cut, ladder.steps)
+    detect_ladders(diagram, labels)
+    return _periphery(smooth(diagram, state_B(diagram)), ladder.steps)
 
 
 def break_ladders(diagram: Diagram, labels: int,

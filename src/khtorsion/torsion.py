@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .chaincomplex import _cube_edges, _terms, differential
+from .chaincomplex import differential
 from .diagram import Diagram
 from .homology import class_order
 from .ladders import (HypothesisReport, Ladder, break_ladders,
@@ -284,16 +284,9 @@ def verify_evenness(module: EvenModule, diagram: Diagram) -> bool:
     below = sorted({labels ^ (1 << x) for labels, _ in module.basis
                     if bin(labels).count("1") == module.i
                     for x in range(diagram.n_total) if labels >> x & 1})
-    last = edges = None
-    for labels, plus in _enhancements(diagram, below, module.i - 1, module.j):
-        if labels != last:
-            last = labels
-            edges = _cube_edges(diagram, labels)
-        # a state's terms have distinct keys: no coefficient map needed
-        if sum(sign for key, sign in _terms(plus, edges)
-               if key in module.basis) % 2:
-            return False
-    return True
+    return not any(module.projection_sum(differential(diagram, y)) % 2
+                   for y in _enhancements(diagram, below, module.i - 1,
+                                          module.j))
 
 
 def certify_not_exact(chain: Chain, module: EvenModule,

@@ -209,19 +209,30 @@ def test_bad_input_exit_code_without_traceback(capsys, tmp_path, argv,
     assert err.startswith("rejected: " if expected == 3 else "error: ")
 
 
+@pytest.mark.parametrize("flags", [["--mu", "2,2", "--all-even"], []])
+def test_certify_takes_one_of_mu_and_all_even(capsys, flags):
+    # a usage error: --mu is never dropped in favour of --all-even
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--monocircular", "3,6", *flags])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--mu" in captured.err and "--all-even" in captured.err
+
+
 def test_closed_stdout_pipe_exits_ok():
     """A reader that closes the pipe before the command writes: exit 0
     and nothing on stderr."""
     src = str(Path(khtorsion.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "khtorsion.cli", "certify", "--monocircular",
-         "3,6", "--all-even", "--json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 0
+    with subprocess.Popen(
+            [sys.executable, "-m", "khtorsion.cli", "certify",
+             "--monocircular", "3,6", "--all-even", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
     assert err == b""
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from khtorsion import (Chain, NotACycleError, SizeGuardError, SparseIntMatrix,
                        differential, enumerate_states, homology_at, is_exact,
                        khovanov_table, monocircular, parse_pd, pretzel,
                        rational, smith_normal_form, smooth)
-from khtorsion.knotdata import HOPF_2, KNOT_3_1, KNOT_6_1, KNOT_9_42
+from khtorsion.knotdata import (HOPF_2, KNOT_3_1, KNOT_4_1, KNOT_6_1,
+                                KNOT_9_42)
 
 KH_6_1_MIRROR = {
     (2, 5): (1, ()), (2, 3): (0, (2,)), (0, 1): (2, ()), (1, 1): (1, ()),
@@ -592,7 +594,83 @@ def _nu_diagrams():
     ds += [(name, make()) for name, make in TABLE_DIAGRAMS.items()]
     ds += [("braid3(3,2,3,2)", braid3_closure([3, 2, 3, 2])),
            ("D(5,5)", monocircular(5, 5))]
+    ds += [(name, parse_pd(_split_union(a, b)))
+           for name, (a, b) in SPLIT_UNIONS.items()]
     return [pytest.param(d, id=name) for name, d in ds]
+
+
+KINK = "X(1,2,2,1)"
+
+SPLIT_UNIONS = {
+    "3_1+3_1": (KNOT_3_1, KNOT_3_1),
+    "3_1+4_1": (KNOT_3_1, KNOT_4_1),
+    "6_1+3_1": (KNOT_6_1, KNOT_3_1),
+    "kink+kink": (KINK, KINK),
+}
+
+
+def _split_union(a, b):
+    """PD code of the split union of a and b: b's edge labels are shifted
+    past a's."""
+    shift = max(int(e) for e in re.findall(r"-?\d+", a))
+    return a + "," + re.sub(r"-?\d+", lambda m: str(int(m[0]) + shift), b)
+
+
+def _prime_powers(factors):
+    """The orders of the cyclic summands of prime-power order, sorted."""
+    out = []
+    for f in factors:
+        p = 2
+        while f > 1:
+            q = 1
+            while f % p == 0:
+                f //= p
+                q *= p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return sorted(out)
+
+
+def _kunneth(hq1, hq2):
+    """Kh of a split union from its two pieces (arXiv math/9908171: the
+    complex of a disjoint union is the tensor product of the two).
+    Kh^{h1,q1} (x) Kh^{h2,q2} lands at (h1 + h2, q1 + q2) and Tor of the
+    same pair at (h1 + h2 - 1, q1 + q2).  Torsion is compared as the
+    multiset of prime-power orders, so Z_a (x) Z_b = Tor(Z_a, Z_b) =
+    Z_gcd(a, b) on prime powers."""
+    out = {}
+
+    def add(key, free, tors):
+        f, t = out.get(key, (0, []))
+        out[key] = (f + free, t + tors)
+
+    for (h1, q1), (r1, t1) in hq1.items():
+        t1 = _prime_powers(t1)
+        for (h2, q2), (r2, t2) in hq2.items():
+            t2 = _prime_powers(t2)
+            tor = [g for a in t1 for b in t2 if (g := math.gcd(a, b)) > 1]
+            add((h1 + h2, q1 + q2), r1 * r2, r1 * t2 + r2 * t1 + tor)
+            add((h1 + h2 - 1, q1 + q2), 0, tor)
+    return {k: (f, sorted(t)) for k, (f, t) in out.items() if f or t}
+
+
+@pytest.mark.parametrize("name", SPLIT_UNIONS)
+def test_kunneth_on_split_unions(name):
+    a, b = SPLIT_UNIONS[name]
+    union = parse_pd(_split_union(a, b))
+    assert len(union.components) == 2
+    table = {k: (f, _prime_powers(t))
+             for k, (f, t) in khovanov_table(union).hq_entries().items()}
+    assert table == _kunneth(khovanov_table(parse_pd(a)).hq_entries(),
+                             khovanov_table(parse_pd(b)).hq_entries())
+
+
+def test_two_kink_unlink():
+    # Kh of the two-component unlink is (q^-1 + q)^2 in degree h = 0
+    d = parse_pd(_split_union(KINK, KINK))
+    assert khovanov_table(d).hq_entries() == {
+        (0, -2): (1, ()), (0, 0): (2, ()), (0, 2): (1, ())}
 
 
 @pytest.mark.parametrize("d", _nu_diagrams())

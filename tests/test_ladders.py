@@ -146,6 +146,54 @@ def test_periphery_invariance_under_non_step_relabelings():
                 ladder.periphery_number
 
 
+def test_periphery_counted_with_every_ladder_cut():
+    # the definition: relabel every step of every ladder B and count the
+    # circles incident to this ladder's steps; every blue scar is a step,
+    # so the cut state is the all-B state
+    rng = random.Random(4)
+    for d in (monocircular(3, 6), braid3_closure([3, -2, 2, 2]),
+              rational([3, 2, -2, 2]), pretzel([5, -3, 2, 3, -2])):
+        for labels in [0] + [rng.randrange(1 << d.n_total)
+                             for _ in range(40)]:
+            try:
+                ls = detect_ladders(d, labels)
+            except LadderError:
+                continue
+            cut = labels
+            for l in ls:
+                cut |= l.step_mask()
+            assert cut == state_B(d)
+            sm = smooth(d, cut)
+            for l in ls:
+                incident = {c for s in l.steps for c in sm.scar_sides[s]}
+                assert l.periphery_number == len(incident) - l.height + 1
+
+
+def test_a_scar_has_at_most_two_ladder_neighbours():
+    # a crossing has two corners that its B-smoothing joins, so a run of
+    # blue scars is a path or a closed loop, never branched
+    for d in (monocircular(3, 6), pretzel([2, 2]), pretzel([-3, 3, -3]),
+              braid3_closure([7, 2]), rational([4, 2, 6]),
+              parse_pd(KNOT_9_42), parse_pd(HOPF_2)):
+        degree = [0] * d.n_total
+        for (x, y), corners in d.bigons().items():
+            for sx, sy, _ in corners:
+                if sx % 2 and sy % 2:
+                    degree[x] += 1
+                    degree[y] += 1
+        assert max(degree) <= 2
+
+
+def test_closed_run_names_every_scar():
+    d = pretzel([2, 2])
+    with pytest.raises(LadderError, match=r"blue scars \[1, 2, 3, 4\] "
+                       "do not form a ladder"):
+        detect_ladders(d, 0)
+    # a ladder of another state, asked for in the state with the loop
+    with pytest.raises(LadderError):
+        periphery_number(d, 0, detect_ladders(d, 0b0001)[0])
+
+
 def test_break_ladders_monocircular():
     d = monocircular(3, 6)
     ls = detect_ladders(d, 0)
