@@ -76,7 +76,9 @@ def _family_diagram(family: str, params: list[int]) -> dg.Diagram:
 
 def _build_diagram(args) -> dg.Diagram:
     if args.pd is not None:
-        with open(args.pd, encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which would otherwise
+        # hide a JSON PD code from the parser
+        with open(args.pd, encoding="utf-8-sig") as fh:
             try:
                 text = fh.read()
             except UnicodeDecodeError as exc:

@@ -9,7 +9,10 @@ from the code; every crossing then carries a sign, and the writhe is
 Besides the parser, this module builds the standard diagram families
 used throughout the package: pretzel diagrams ``P(a_1, ..., a_n)``,
 alternating-box rational diagrams, closures of three-strand braids and
-the monocircular diagrams ``D(h1, h2) = P(-1, ..., -1, h2)``.
+the monocircular diagrams ``D(h1, h2) = P(-1, ..., -1, h2)``.  Each is
+wired together from twist bands: `_Builder.band` lays down a run of
+crossings whose slots come from one table, `_BAND_SLOTS`, that names
+each crossing kind's two ends on either side of the band.
 
 Every walk over a diagram runs on one flat port numbering, built by
 `_ports`: port p = 4 * crossing + slot, and ``far[p]`` is the port at
@@ -345,8 +348,9 @@ def parse_pd(text: str) -> Diagram:
         if not isinstance(data, list):
             raise DiagramError("JSON PD code must be an array of quadruples")
         for q in data:
+            # type(x) is int: JSON true/false load as bools, a subclass of int
             if not isinstance(q, list) or len(q) != 4 or \
-                    not all(isinstance(x, int) for x in q):
+                    not all(type(x) is int for x in q):
                 raise DiagramError(f"malformed quadruple {q!r}")
             quads.append(tuple(q))
     else:
@@ -370,87 +374,72 @@ def parse_pd(text: str) -> Diagram:
 # ---------------------------------------------------------------------------
 
 
+# A band twists two strands `count` times, top to bottom (vertical kinds
+# v+/v-) or west to east (horizontal kinds h+/h-).  Slot 0 is an end of
+# the under axis and the quadruple runs CCW from it: v+ (TL, BL, BR, TR),
+# under axis TL-BR; v- (TR, TL, BL, BR), under axis TR-BL; h+ (ET, WT,
+# WB, EB), under axis ET-WB; h- (WT, WB, EB, ET), under axis WT-EB.  The
+# table gives each kind's ends as (in0, in1, out0, out1): TL, TR, BL, BR
+# of a vertical crossing, WT, WB, ET, EB of a horizontal one.
+_BAND_SLOTS = {"v+": (0, 3, 1, 2), "v-": (1, 0, 2, 3),
+               "h+": (1, 2, 0, 3), "h-": (0, 1, 3, 2)}
+
+
 class _Builder:
     """Incremental diagram assembly used by the family constructors.
 
-    Crossings are created with their under axis on slots 0-2 (slot 0 an
-    arbitrary end of it); edges are allocated on demand when two ports
-    are wired together.  `finish` orients components and normalises
-    slot 0 to the incoming under end.
+    Diagrams are built from twist bands (`band`), whose crossings take
+    their slots from `_BAND_SLOTS`, joined by `wire`.  Ports are flat,
+    port = 4 * crossing + slot; edge labels are handed out in `wire`
+    call order.  `finish` orients components and normalises slot 0 to
+    the incoming under end.
     """
 
     def __init__(self):
-        self.slots: list[list[Optional[int]]] = []
+        self.slots: list[Optional[int]] = []  # edge label at each port
         self.next_edge = 1
         self.negative_mask = 0
         self.directed: dict[int, int] = {}  # edge -> head port
 
-    def crossing(self, kind: str) -> int:
-        """Add a crossing; kind is 'v+'/'v-' (vertical band crossing with
-        A-smoothing the pass-through resp. the hairpin one) or 'h+'/'h-'
-        for horizontal bands.  Returns the crossing index."""
-        self.slots.append([None, None, None, None])
-        ci = len(self.slots) - 1
-        if kind.endswith("-"):
-            self.negative_mask |= 1 << ci
-        return ci
+    def band(self, count: int, kind: str) -> tuple[int, int, int, int]:
+        """Add a band of `count` crossings of `kind`: 'v+'/'v-' for a
+        vertical band whose A-smoothing is the pass-through resp. the
+        hairpin one, 'h+'/'h-' for horizontal bands; the '-' kinds are
+        negative twist regions.  Each crossing's out0/out1 is wired to
+        the next one's in0/in1.  Returns the band's ends: in0, in1 of
+        its first crossing and out0, out1 of its last (NW, NE, SW, SE of
+        a vertical band, WT, WB, ET, EB of a horizontal one)."""
+        in0, in1, out0, out1 = _BAND_SLOTS[kind]
+        first = len(self.slots)
+        if kind[1] == "-":
+            self.negative_mask |= (1 << count) - 1 << first // 4
+        self.slots += [None] * (4 * count)
+        for port in range(first + 4, first + 4 * count, 4):
+            self.wire(port - 4 + out0, port + in0)
+            self.wire(port - 4 + out1, port + in1)
+        last = len(self.slots) - 4
+        return first + in0, first + in1, last + out0, last + out1
 
-    def port(self, crossing: int, corner: str, kind: str) -> tuple[int, int]:
-        """Map a geometric corner name to a slot for the given crossing kind.
-
-        Corners: vertical bands use TL/TR/BL/BR, horizontal bands use
-        WT/WB/ET/EB (west-top, west-bottom, east-top, east-bottom).
-        """
-        table = {
-            # under axis TL-BR; quadruple CCW from TL: (TL, BL, BR, TR)
-            "v+": {"TL": 0, "BL": 1, "BR": 2, "TR": 3},
-            # under axis TR-BL; CCW from TR: (TR, TL, BL, BR)
-            "v-": {"TR": 0, "TL": 1, "BL": 2, "BR": 3},
-            # under axis ET-WB; CCW from ET: (ET, WT, WB, EB)
-            "h+": {"ET": 0, "WT": 1, "WB": 2, "EB": 3},
-            # under axis WT-EB; CCW from WT: (WT, WB, EB, ET)
-            "h-": {"WT": 0, "WB": 1, "EB": 2, "ET": 3},
-        }
-        return (crossing, table[kind][corner])
-
-    def wire(self, a: tuple[int, int], b: tuple[int, int],
-             forward: bool = False) -> int:
+    def wire(self, a: int, b: int, forward: bool = False) -> None:
         """Connect two ports with a fresh edge; `forward` marks the edge
         as oriented from `a` to `b` (used by braid closures)."""
+        for p in (a, b):
+            if self.slots[p] is not None:
+                raise DiagramError(f"slot {divmod(p, 4)} wired twice")
         e = self.next_edge
         self.next_edge += 1
-        for (c, s) in (a, b):
-            if self.slots[c][s] is not None:
-                raise DiagramError(f"slot {(c, s)} wired twice")
-        self.slots[a[0]][a[1]] = e
-        self.slots[b[0]][b[1]] = e
+        self.slots[a] = self.slots[b] = e
         if forward:
-            self.directed[e] = 4 * b[0] + b[1]
-        return e
+            self.directed[e] = b
 
     def finish(self) -> Diagram:
-        quads = []
-        for ci, q in enumerate(self.slots):
-            if any(x is None for x in q):
+        quads = [tuple(self.slots[p:p + 4])
+                 for p in range(0, len(self.slots), 4)]
+        for ci, q in enumerate(quads):
+            if None in q:
                 raise DiagramError(f"crossing {ci + 1} has unwired slots")
-            quads.append(tuple(q))
         return _finish(quads, mode="auto", directed=self.directed,
                        family_negative=self.negative_mask)
-
-
-def _twist_band(b: _Builder, count: int, kind: str) -> dict[str, tuple[int, int]]:
-    """A vertical twist band of `count` crossings, top to bottom.
-
-    Returns its four outer ports NW/NE/SW/SE.
-    """
-    cs = [b.crossing(kind) for _ in range(count)]
-    for m in range(count - 1):
-        b.wire(b.port(cs[m], "BL", kind), b.port(cs[m + 1], "TL", kind))
-        b.wire(b.port(cs[m], "BR", kind), b.port(cs[m + 1], "TR", kind))
-    return {
-        "NW": b.port(cs[0], "TL", kind), "NE": b.port(cs[0], "TR", kind),
-        "SW": b.port(cs[-1], "BL", kind), "SE": b.port(cs[-1], "BR", kind),
-    }
 
 
 def pretzel(entries: Sequence[int]) -> Diagram:
@@ -468,17 +457,15 @@ def pretzel(entries: Sequence[int]) -> Diagram:
     if any(a == 0 for a in entries):
         raise DiagramError("pretzel entries must be nonzero")
     b = _Builder()
-    bands = [_twist_band(b, abs(a), "v+" if a > 0 else "v-") for a in entries]
-    n = len(bands)
-    for l in range(n - 1):
-        b.wire(bands[l]["NE"], bands[l + 1]["NW"])
-        b.wire(bands[l]["SE"], bands[l + 1]["SW"])
-    if n == 1:
-        b.wire(bands[0]["NW"], bands[0]["NE"])
-        b.wire(bands[0]["SW"], bands[0]["SE"])
-    else:
-        b.wire(bands[0]["NW"], bands[-1]["NE"])
-        b.wire(bands[0]["SW"], bands[-1]["SE"])
+    bands = [b.band(abs(a), "v+" if a > 0 else "v-") for a in entries]
+    for (_, ne, _, se), (nw, _, sw, _) in zip(bands, bands[1:]):
+        b.wire(ne, nw)
+        b.wire(se, sw)
+    # close the first band's west ends to the last band's east ends
+    nw, _, sw, _ = bands[0]
+    _, ne, _, se = bands[-1]
+    b.wire(nw, ne)
+    b.wire(sw, se)
     return b.finish()
 
 
@@ -510,44 +497,26 @@ def rational(entries: Sequence[int]) -> Diagram:
     if any(a == 0 for a in entries):
         raise DiagramError("rational entries must be nonzero")
     b = _Builder()
-
-    def vbox(count, positive):
-        return _twist_band(b, count, "v+" if positive else "v-")
-
-    def hbox(count, positive):
-        kind = "h+" if positive else "h-"
-        cs = [b.crossing(kind) for _ in range(count)]
-        for m in range(count - 1):
-            b.wire(b.port(cs[m], "ET", kind), b.port(cs[m + 1], "WT", kind))
-            b.wire(b.port(cs[m], "EB", kind), b.port(cs[m + 1], "WB", kind))
-        return {
-            "WT": b.port(cs[0], "WT", kind), "WB": b.port(cs[0], "WB", kind),
-            "ET": b.port(cs[-1], "ET", kind), "EB": b.port(cs[-1], "EB", kind),
-        }
-
-    first = vbox(abs(entries[0]), entries[0] > 0)
-    nw, ne = first["NW"], first["NE"]
-    sw, se = first["SW"], first["SE"]
+    nw, ne, sw, se = b.band(abs(entries[0]), "v+" if entries[0] > 0 else "v-")
     for i, a in enumerate(entries[1:], start=2):
+        sign = "+" if a > 0 else "-"
         if i % 2 == 0:  # horizontal box on the right
-            box = hbox(abs(a), a > 0)
-            b.wire(ne, box["WT"])
-            b.wire(se, box["WB"])
-            ne, se = box["ET"], box["EB"]
+            wt, wb, et, eb = b.band(abs(a), "h" + sign)
+            b.wire(ne, wt)
+            b.wire(se, wb)
+            ne, se = et, eb
         else:  # vertical box at the bottom
-            box = vbox(abs(a), a > 0)
-            b.wire(sw, box["NW"])
-            b.wire(se, box["NE"])
-            sw, se = box["SW"], box["SE"]
-    if len(entries) == 1:
-        b.wire(nw, ne)
-        b.wire(sw, se)
-    elif len(entries) % 2:
+            top_w, top_e, bottom_w, bottom_e = b.band(abs(a), "v" + sign)
+            b.wire(sw, top_w)
+            b.wire(se, top_e)
+            sw, se = bottom_w, bottom_e
+    if len(entries) % 2 and len(entries) > 1:
         # last box vertical: close along the sides
         b.wire(nw, sw)
         b.wire(ne, se)
     else:
-        # last box horizontal: close over the top and under the bottom
+        # one box, or the last box horizontal: close over the top and
+        # under the bottom
         b.wire(nw, ne)
         b.wire(sw, se)
     return b.finish()
@@ -568,22 +537,21 @@ def braid3_closure(exponents: Sequence[int]) -> Diagram:
     if any(a == 0 for a in exponents):
         raise DiagramError("braid exponents must be nonzero")
     b = _Builder()
-    # dangling[i]: the lower end of strand position i so far; None until the
-    # strand is first used, in which case we remember the top port instead.
-    dangling: list[Optional[tuple[int, int]]] = [None, None, None]
-    tops: list[Optional[tuple[int, int]]] = [None, None, None]
+    # dangling[k]: the lower end of strand position k so far; None until the
+    # strand is first used, when its top end goes to tops[k] instead
+    dangling: list[Optional[int]] = [None, None, None]
+    tops: list[Optional[int]] = [None, None, None]
     for pos_word, a in enumerate(exponents):
-        i = 0 if pos_word % 2 == 0 else 1  # strand pair (i, i+1)
+        i = pos_word % 2  # strand pair (i, i+1)
         kind = "v+" if a > 0 else "v-"
         for _ in range(abs(a)):
-            c = b.crossing(kind)
-            for k, corner_top, corner_bot in ((i, "TL", "BL"), (i + 1, "TR", "BR")):
-                top_port = b.port(c, corner_top, kind)
+            in0, in1, out0, out1 = b.band(1, kind)
+            for k, top, bottom in ((i, in0, out0), (i + 1, in1, out1)):
                 if dangling[k] is None:
-                    tops[k] = top_port
+                    tops[k] = top
                 else:
-                    b.wire(dangling[k], top_port, forward=True)
-                dangling[k] = b.port(c, corner_bot, kind)
+                    b.wire(dangling[k], top, forward=True)
+                dangling[k] = bottom
     for k in range(3):
         if dangling[k] is None:
             raise DiagramError("braid word leaves a strand untouched")

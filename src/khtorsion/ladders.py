@@ -113,8 +113,7 @@ def _run(x0: int, nbr: dict[int, list[int]]) -> tuple[int, ...]:
             if cur == x0:
                 raise LadderError(
                     f"blue scars {sorted(c + 1 for c in [x0] + arm)} do not "
-                    "form a ladder (branched or closed run of parallel "
-                    "scars)")
+                    "form a ladder (closed run of parallel scars)")
             arm.append(cur)
             prev, cur = cur, next((y for y in nbr[cur] if y != prev), None)
     steps = arms[0][::-1] + [x0] + arms[1]

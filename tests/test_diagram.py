@@ -1,5 +1,8 @@
 """Parser and family-constructor tests."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from khtorsion import (DiagramError, braid3_closure, knotdata,
@@ -26,6 +29,8 @@ def test_parse_accepts_brackets_and_json():
     pytest.param("X(1,2,3,4),X(1,2,3,5)", "do not appear exactly twice",
                  id="label-not-twice"),
     pytest.param("hello world", "unrecognised PD syntax", id="garbage"),
+    # JSON booleans are not edge labels, though bool is a subclass of int
+    pytest.param("[[true,2,2,true]]", "malformed quadruple", id="json-bool"),
     # the trefoil with its third crossing rotated by two slots: the
     # strand's under-passages vote for both orientations
     pytest.param("X(1,4,2,5),X(3,6,4,1),X(6,3,5,2)",
@@ -186,3 +191,35 @@ def test_every_face_begins_at_its_least_port(d):
     assert sorted(c for face in faces for c in face) == [
         divmod(p, 4) for p in range(4 * d.n_total)]
     assert all(x < y for x, y in d.bigons())
+
+
+def _family_lines():
+    """One line per family construction: its PD text and negative-twist
+    mask, or its error text."""
+    values = (-3, -2, -1, 1, 2, 3, 4)
+    entries = [t for n in (1, 2, 3)
+               for t in itertools.product(values, repeat=n)]
+    builds = [(f"{f.__name__}{t}", f, t)
+              for f in (pretzel, rational, braid3_closure) for t in entries]
+    builds += [(f"monocircular{(h1, h2)}", lambda hs: monocircular(*hs),
+                (h1, h2)) for h1 in range(1, 7) for h2 in range(1, 7)]
+    lines = []
+    for label, build, arg in builds:
+        try:
+            d = build(arg)
+        except DiagramError as exc:
+            lines.append(f"{label}: {exc}")
+        else:
+            lines.append(f"{label}: {d.pd_text()} {d.family_negative}")
+    return lines
+
+
+def test_family_pd_codes_are_pinned():
+    """The PD text (edge labels in slot order), the negative-twist mask
+    and the error text of every family construction of up to three
+    entries over -3..4, and of D(h1, h2) for h1, h2 <= 6, hashed."""
+    lines = _family_lines()
+    assert len(lines) == 1233
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ("2ca0c3b11223193bd17ce4fd452cfe8a"
+                      "092beb9644887c86ac6578751daa5ace")
