@@ -82,20 +82,22 @@ def _cube_edges(diagram: Diagram, labels: int) -> list:
 
     In both cases keep = ((1 << hi) - 1) ^ (1 << lo).
     """
-    sm = smooth(diagram, labels)
+    sides = smooth(diagram, labels).sides
     edges = []
     k = 0  # number of B labels before the current crossing
-    for x, (side0, side1) in enumerate(sm.scar_sides):
+    for x in range(len(sides) >> 1):
         if labels >> x & 1:
             k += 1
             continue
+        side0, side1 = sides[2 * x], sides[2 * x + 1]
         new_labels = labels | (1 << x)
         if side0 != side1:  # merge
             lo, hi = (side0, side1) if side0 < side1 else (side1, side0)
             t0 = t1 = 1 << lo
             down, up = hi + 1, hi
         else:  # split
-            c0, c1 = smooth(diagram, new_labels).scar_sides[x]
+            split = smooth(diagram, new_labels).sides
+            c0, c1 = split[2 * x], split[2 * x + 1]
             t0, t1 = 1 << c0, 1 << c1
             lo, hi = side0, c0 + c1 - side0  # one of c0, c1 is side0
             down, up = hi, hi + 1
@@ -150,15 +152,13 @@ def incidence(diagram: Diagram, s, t) -> int:
         return 0
     sm = smooth(diagram, s.labels)
     tm = smooth(diagram, t.labels)
+    side0, side1 = sm.sides[2 * x:2 * x + 2]
+    c0, c1 = tm.sides[2 * x:2 * x + 2]
     # common circles keep their signs
-    touched_s = set(sm.scar_sides[x])
     for c, min_edge in enumerate(sm.min_edges):
-        if c in touched_s:
-            continue
-        if (s.plus >> c & 1) != (t.plus >> tm.circle_of_edge[min_edge] & 1):
+        if c not in (side0, side1) and (s.plus >> c & 1) != (
+                t.plus >> tm.circle_of(diagram, t.labels, min_edge) & 1):
             return 0
-    side0, side1 = sm.scar_sides[x]
-    c0, c1 = tm.scar_sides[x]
     if side0 != side1:  # merging
         a = s.plus >> side0 & 1
         b = s.plus >> side1 & 1

@@ -351,7 +351,7 @@ def parse_pd(text: str) -> Diagram:
             # type(x) is int: JSON true/false load as bools, a subclass of int
             if not isinstance(q, list) or len(q) != 4 or \
                     not all(type(x) is int for x in q):
-                raise DiagramError(f"malformed quadruple {q!r}")
+                raise DiagramError(f"malformed quadruple {json.dumps(q)}")
             quads.append(tuple(q))
     else:
         terms = _PD_TERM.findall(text)

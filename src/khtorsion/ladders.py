@@ -122,7 +122,7 @@ def _run(x0: int, nbr: dict[int, list[int]]) -> tuple[int, ...]:
 
 def _periphery(cut: Smoothing, steps: tuple[int, ...]) -> int:
     """Periphery count of the steps in the all-B smoothing `cut`."""
-    incident = {c for s in steps for c in cut.scar_sides[s]}
+    incident = {cut.sides[2 * s + t] for s in steps for t in (0, 1)}
     periphery = len(incident) - (len(steps) - 1)
     if periphery not in (1, 2):
         raise LadderError(
@@ -164,7 +164,6 @@ class HypothesisReport:
     with every step of each periphery-2 ladder turned red.
     """
 
-    diagram: Diagram
     s0: int
     ladders: tuple[Ladder, ...]
     grouped_ok: bool          # every blue scar in a ladder of height >= 2
@@ -272,7 +271,7 @@ def check_hypotheses(diagram: Diagram, labels: int) -> HypothesisReport:
                 s0_prime |= l.step_mask()
 
     return HypothesisReport(
-        diagram=diagram, s0=labels, ladders=ladders,
+        s0=labels, ladders=ladders,
         grouped_ok=grouped_ok, all_periphery_one=all_p1,
         has_height3=has_h3, red_scars_bichord=red_ok,
         has_p1_height3=has_p1_h3,

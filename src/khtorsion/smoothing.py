@@ -41,49 +41,49 @@ class Smoothing:
     Each step of the walk crosses one joined pair of slots, and records
     the circle as the pair's scar side.
 
-    The state bitmask itself is not kept: `smooth` caches smoothings by
-    it.
+    A smoothing is flat tuples of small ints, about 450 bytes at 14
+    crossings.  No data stored on a diagram refers back to it, so a CLI
+    call's smoothings are freed when the call returns.
 
     Attributes:
         circles: number of circles.
-        circle_of_edge: edge label -> canonical circle index.
         min_edges: canonical circle index -> minimal edge label on it.
-        scar_sides: per crossing, the pair (side0, side1) of circle
-            indices its scar touches; side0 is the circle through the
-            joined pair containing slot 0.
+        sides: ``sides[2 x]`` and ``sides[2 x + 1]`` are the circles
+            side0 and side1 that the scar of crossing x touches; side0
+            runs through the joined pair containing slot 0.
     """
 
-    __slots__ = ("circles", "circle_of_edge", "min_edges", "scar_sides")
+    __slots__ = ("circles", "min_edges", "sides")
 
     def __init__(self, diagram: Diagram, labels: int):
-        far, edge_at, arrivals = diagram.ports
-        circle_of: dict[int, int] = {}
+        far, _, arrivals = diagram.ports
         min_edges: list[int] = []
-        # sides[2 c + t]: the circle through joined pair t of crossing c;
-        # from arrival p, t is bit 1 of the slot under A and bit 1 ^ bit 0
-        # under B, whose pair (3,0) is side0
-        sides = [0] * (len(far) >> 1)
-        for e0, start in arrivals:
-            if e0 in circle_of:
+        # joined pair t of crossing c is sides[2 c + t], -1 until walked;
+        # from port p, t is bit 1 of the slot, xor bit 0 under B
+        sides = [-1] * (len(far) >> 1)
+        for e0, p in arrivals:
+            b = labels >> (p >> 2) & 1
+            s = (p >> 1) ^ (p & b)
+            if sides[s] >= 0:
                 continue
             k = len(min_edges)
             min_edges.append(e0)
-            p = start
-            while True:
-                b = labels >> (p >> 2) & 1
-                circle_of[edge_at[p]] = k
-                sides[(p >> 1) ^ (p & b)] = k
+            while sides[s] < 0:  # back at the start pair: circle closed
+                sides[s] = k
                 p = far[p ^ (b << 1 | 1)]
-                if p == start:
-                    break
+                b = labels >> (p >> 2) & 1
+                s = (p >> 1) ^ (p & b)
         self.circles = len(min_edges)
-        self.circle_of_edge = circle_of
         self.min_edges = tuple(min_edges)
-        self.scar_sides = tuple(zip(sides[0::2], sides[1::2]))
+        self.sides = tuple(sides)
 
-    def is_monochord(self, crossing_index: int) -> bool:
-        s0, s1 = self.scar_sides[crossing_index]
-        return s0 == s1
+    def is_monochord(self, crossing: int) -> bool:
+        return self.sides[2 * crossing] == self.sides[2 * crossing + 1]
+
+    def circle_of(self, diagram: Diagram, labels: int, edge: int) -> int:
+        """The circle through `edge`; `labels` is the state smoothed."""
+        p = diagram.cached("edge_port", lambda: dict(diagram.ports[2]))[edge]
+        return self.sides[(p >> 1) ^ (p & labels >> (p >> 2) & 1)]
 
 
 def smooth(diagram: Diagram, labels: int) -> Smoothing:

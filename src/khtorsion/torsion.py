@@ -61,7 +61,7 @@ def _chosen_mask(ladder: Ladder, chosen: Sequence[int]) -> int:
     return mask
 
 
-def _c0_circle(diagram: Diagram, sm, ladder: Ladder,
+def _c0_circle(diagram: Diagram, labels: int, ladder: Ladder,
                chosen: Sequence[int]) -> int:
     """Canonical index of the periphery circle C^0 at the first red scar.
 
@@ -70,14 +70,15 @@ def _c0_circle(diagram: Diagram, sm, ladder: Ladder,
     through the bigon towards the next step) is excluded; a monochord
     scar has C^0 as its only incident circle.
     """
+    sm = smooth(diagram, labels)
     m1 = min(chosen)
     crossing = ladder.steps[m1]
-    side0, side1 = sm.scar_sides[crossing]
+    side0, side1 = sm.sides[2 * crossing:2 * crossing + 2]
     if side0 == side1:
         return side0
     if m1 < ladder.height - 1:
         down_edge = next(iter(ladder.gap_edges[m1]))
-        down = sm.circle_of_edge[down_edge]
+        down = sm.circle_of(diagram, labels, down_edge)
         if side0 == down and side1 == down:
             raise TorsionError("cannot separate periphery circle")
         if down not in (side0, side1):
@@ -87,7 +88,7 @@ def _c0_circle(diagram: Diagram, sm, ladder: Ladder,
         return side1 if side0 == down else side0
     if ladder.height >= 2:
         up_edge = next(iter(ladder.gap_edges[m1 - 1]))
-        up = sm.circle_of_edge[up_edge]
+        up = sm.circle_of(diagram, labels, up_edge)
         if up not in (side0, side1):
             raise TorsionError(
                 f"periphery circle of ladder at crossing {crossing + 1} "
@@ -131,7 +132,7 @@ def _summand(diagram: Diagram, s0: int, ladders: Sequence[Ladder],
     sm = smooth(diagram, labels)
     plus = (1 << sm.circles) - 1
     if minus_ladder is not None:
-        plus &= ~(1 << _c0_circle(diagram, sm, ladders[minus_ladder],
+        plus &= ~(1 << _c0_circle(diagram, labels, ladders[minus_ladder],
                                   pick[minus_ladder]))
     return EnhancedState(labels, plus), sm.circles
 

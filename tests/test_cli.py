@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes and JSON round-trips."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import khtorsion
+from khtorsion import Diagram, Smoothing
 from khtorsion.cli import main
 from khtorsion.knotdata import HOPF_2
 
@@ -244,6 +246,37 @@ def test_closed_stdout_pipe_exits_ok():
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    "table --pretzel -3,3,-3",
+    "certify --monocircular 3,6 --all-even --verify-even",
+    "certify --pretzel 5,-3,2,3,-2 --state signed --mu 2,2,2 "
+    "--verify-oracle",
+    "certify --rational 3,2,-2,2 --state signed --all-even",
+    "bound --pretzel 5,-3,2,3,-2",
+    "bound --rational 4,2,6",
+    "grid 3 4",
+    "certify --pretzel 2,2 --mu 2",
+])
+def test_cli_call_leaves_no_cyclic_garbage(capsys, argv):
+    """The per-diagram data of a call is freed by reference counting
+    when the call returns, not left for the cycle collector.  Argparse
+    leaves a cycle of its own, so only diagrams and smoothings count."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main(argv.split())
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage
+                if isinstance(o, (Diagram, Smoothing))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    capsys.readouterr()
+    assert left == []
 
 
 # at most about 6 crossings; the fixed lists pass the ladder hypotheses

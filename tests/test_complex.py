@@ -234,7 +234,7 @@ def _transport_cases():
 
 def test_cube_edges_transport_matches_per_circle_map():
     # the mask-and-shift transport against the map of every untouched
-    # circle c to the neighbour's circle_of_edge[min_edges[c]]
+    # circle c to the neighbour's circle through min_edges[c]
     six = 0
     for d, states in _transport_cases():
         for labels in states:
@@ -242,12 +242,13 @@ def test_cube_edges_transport_matches_per_circle_map():
             six += sm.circles >= 6
             for plus in range(1 << sm.circles):
                 expected = {}
-                for x, (side0, side1) in enumerate(sm.scar_sides):
+                for x, (side0, side1) in enumerate(zip(sm.sides[0::2],
+                                                       sm.sides[1::2])):
                     if labels >> x & 1:
                         continue
                     new_labels = labels | 1 << x
                     tm = smooth(d, new_labels)
-                    c0, c1 = tm.scar_sides[x]
+                    c0, c1 = tm.sides[2 * x:2 * x + 2]
                     if side0 != side1:
                         assert c0 == c1 == min(side0, side1)
                     else:
@@ -255,7 +256,7 @@ def test_cube_edges_transport_matches_per_circle_map():
                     base = 0
                     for c, e in enumerate(sm.min_edges):
                         if c not in (side0, side1) and plus >> c & 1:
-                            base |= 1 << tm.circle_of_edge[e]
+                            base |= 1 << tm.circle_of(d, new_labels, e)
                     a, b = plus >> side0 & 1, plus >> side1 & 1
                     if side0 != side1:
                         targets = ([] if not (a or b) else
@@ -285,9 +286,8 @@ def test_cube_edges_smooth_only_the_state_and_its_splits(monkeypatch):
     for d, states in _transport_cases():
         for labels in states:
             sm = original(d, labels)
-            splits = [labels | 1 << x
-                      for x, (side0, side1) in enumerate(sm.scar_sides)
-                      if not labels >> x & 1 and side0 == side1]
+            splits = [labels | 1 << x for x in range(d.n_total)
+                      if not labels >> x & 1 and sm.is_monochord(x)]
             calls.clear()
             _cube_edges(d, labels)
             assert calls == [labels] + splits

@@ -29,8 +29,10 @@ def test_parse_accepts_brackets_and_json():
     pytest.param("X(1,2,3,4),X(1,2,3,5)", "do not appear exactly twice",
                  id="label-not-twice"),
     pytest.param("hello world", "unrecognised PD syntax", id="garbage"),
-    # JSON booleans are not edge labels, though bool is a subclass of int
-    pytest.param("[[true,2,2,true]]", "malformed quadruple", id="json-bool"),
+    # JSON booleans are not edge labels, though bool is a subclass of int;
+    # the whole message, which echoes the JSON as written
+    pytest.param("[[true,2,2,true]]",
+                 r"^malformed quadruple \[true, 2, 2, true\]$", id="json-bool"),
     # the trefoil with its third crossing rotated by two slots: the
     # strand's under-passages vote for both orientations
     pytest.param("X(1,4,2,5),X(3,6,4,1),X(6,3,5,2)",

@@ -165,7 +165,8 @@ def test_periphery_counted_with_every_ladder_cut():
             assert cut == state_B(d)
             sm = smooth(d, cut)
             for l in ls:
-                incident = {c for s in l.steps for c in sm.scar_sides[s]}
+                incident = {sm.sides[2 * s + t] for s in l.steps
+                            for t in (0, 1)}
                 assert l.periphery_number == len(incident) - l.height + 1
 
 

@@ -1,14 +1,16 @@
 """Smoothing, enhanced states, degrees, enumeration."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import relabelled
-from khtorsion import (Chain, EnhancedState, SmoothingError, braid3_closure,
-                       degrees, enumerate_states, monocircular, parse_pd,
-                       pretzel, rational, reorder_crossings, smooth, state_B)
+from khtorsion import (Chain, EnhancedState, Smoothing, SmoothingError,
+                       braid3_closure, degrees, enumerate_states,
+                       monocircular, parse_pd, pretzel, rational,
+                       reorder_crossings, smooth, state_B)
 from khtorsion.knotdata import HOPF_2, KNOT_3_1
 
 
@@ -103,18 +105,24 @@ def test_smooth_is_label_local():
         labels = rng.randrange(1 << d.n_total)
         x = rng.randrange(d.n_total)
         before = smooth(d, labels)
-        after = smooth(d, labels ^ (1 << x))
-        touched = set(before.scar_sides[x])
+        touched = before.sides[2 * x:2 * x + 2]
+        circle_before = circle_map(d, labels)
+        circle_after = circle_map(d, labels ^ (1 << x))
         # circles not incident to x keep their edge sets
         for c, min_edge in enumerate(before.min_edges):
             if c in touched:
                 continue
-            edges_before = {e for e, k in before.circle_of_edge.items()
-                            if k == c}
-            c_after = after.circle_of_edge[min_edge]
-            edges_after = {e for e, k in after.circle_of_edge.items()
+            edges_before = {e for e, k in circle_before.items() if k == c}
+            c_after = circle_after[min_edge]
+            edges_after = {e for e, k in circle_after.items()
                            if k == c_after}
             assert edges_before == edges_after
+
+
+def circle_map(d, labels):
+    """Edge label -> canonical circle index of the state's smoothing."""
+    sm = smooth(d, labels)
+    return {e: sm.circle_of(d, labels, e) for e in d.edges}
 
 
 def reference_circles(d, labels):
@@ -157,10 +165,15 @@ def check_smoothings_against_reference(d):
         blocks, pairs = reference_circles(d, labels)
         index = {e: k for k, b in enumerate(blocks) for e in b}
         assert sm.circles == len(blocks)
-        assert sm.circle_of_edge == index
+        assert circle_map(d, labels) == index
         assert sm.min_edges == tuple(min(b) for b in blocks)
-        assert sm.scar_sides == tuple((index[p0[0]], index[p1[0]])
-                                      for p0, p1 in pairs)
+        assert sm.sides == tuple(index[pair[0]] for joined in pairs
+                                 for pair in joined)
+        # an edge's circle reads the same off the pair at either port
+        _, edge_at, _ = d.ports
+        for p, e in enumerate(edge_at):
+            b = labels >> (p >> 2) & 1
+            assert sm.sides[(p >> 1) ^ (p & b)] == index[e]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -190,6 +203,19 @@ def test_smooth_rejects_states_out_of_range(warm):
         with pytest.raises(SmoothingError):
             smooth(d, bad)
         assert bad not in d._smooth_cache
+
+
+def test_smoothing_is_flat_and_small():
+    # flat tuples of small ints, no per-state dict: at most 600 bytes for
+    # the object and its slot values on a 14-crossing diagram
+    d = monocircular(7, 7)
+    rng = random.Random(77)
+    for labels in [0, state_B(d)] + [rng.randrange(1 << d.n_total)
+                                     for _ in range(200)]:
+        sm = smooth(d, labels)
+        values = [getattr(sm, name) for name in Smoothing.__slots__]
+        assert not any(isinstance(v, dict) for v in values)
+        assert sys.getsizeof(sm) + sum(map(sys.getsizeof, values)) <= 600
 
 
 def test_mono_vs_bichord():
