@@ -41,6 +41,12 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not an integer list: {text!r}")
 
 
+def _count(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"not an integer >= 0: {text!r}")
+    return int(text)
+
+
 def _add_diagram_args(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--pd", metavar="FILE", help="PD code file")
@@ -202,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="integer Khovanov homology table")
     _add_diagram_args(p)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--limit", type=int, default=DEFAULT_CROSSING_LIMIT,
+    p.add_argument("--limit", type=_count, default=DEFAULT_CROSSING_LIMIT,
                    help="crossing guard for full enumeration "
                         f"(default {DEFAULT_CROSSING_LIMIT})")
     p.set_defaults(func=cmd_table)

@@ -13,10 +13,11 @@ the torsion is the invariant factors of d_{i-1}.
 
 Both the table and the Smith normal form eliminate units through one
 primitive, `_units`: `cancel_units` runs it on every d_k of the
-complex, `smith_normal_form` on its copy of one matrix.  What is left
-has no unit entry and is finished by fraction-free integer elimination
-with pivots chosen of smallest magnitude (ties by least fill); Python
-integers keep everything exact.
+complex, `smith_normal_form` on its copy of one matrix.  It keeps a
+row list and an exact live count per column, and logs its updates only
+for the transform SNF.  What is left has no unit entry and is finished
+by fraction-free integer elimination with pivots chosen of smallest
+magnitude (ties by least fill); Python integers keep everything exact.
 
 The exactness oracle factors the full matrices, with transforms,
 because its witness is a chain of enhanced states.  `is_exact` solves
@@ -78,35 +79,41 @@ class SNFResult:
         return s
 
 
-def _units(rows: list[dict[int, int]], cols: list[set[int]]):
+def _units(rows: list[dict[int, int]], ncols: int, log: bool = False):
     """Cancel every +-1 entry of one matrix in place.
 
-    `rows[r]` maps column -> nonzero entry and `cols[c]` is the set of
-    rows with an entry in column c.  A unit phi = rows[r][c] is cleared
-    from its column by the row updates row_{r2} -= q row_r with
+    `rows[r]` maps column -> nonzero entry.  A unit phi = rows[r][c] is
+    cleared from its column by the row updates row_{r2} -= q row_r with
     q = rows[r2][c] phi (phi^-1 = phi), which give the other rows the
     rank-one update eps - gamma phi^-1 delta; then row r and column c
     are emptied.  The pivot row is the shortest row holding a unit, and
     its pivot the unit of the shortest column (the first such unit on
     ties), which keeps the fill small.  Yields (r, c, phi, row, updates)
     per pivot: `row` is the pivot row without c, `updates` the (r2, q)
-    pairs in the order made.
+    pairs in the order made when `log` is set, else None.
 
     Most pivot rows hold no other entry.  Then the update only drops
     column c from each other row, and a short loop does just that.
 
+    `cols[c]`, built here from `rows`, lists the rows that may hold
+    column c and `count[c]` is the exact number that do: fill appends,
+    and a row listed twice or no longer holding c is skipped.
     The candidate rows wait in one bucket per row length, scanned from
     a low-water mark.  An updated row moves to the bucket of its new
     length; a taken row with no unit stays out until an update changes
     it.
     """
+    cols: list[list[int]] = [[] for _ in range(ncols)]
     buckets: list[set[int]] = []
     for r, row in enumerate(rows):
         if row:
+            for c in row:
+                cols[c].append(r)
             length = len(row)
             while len(buckets) <= length:
                 buckets.append(set())
             buckets[length].add(r)
+    count = [len(col) for col in cols]
     low = 0
     while True:
         while low < len(buckets) and not buckets[low]:
@@ -118,42 +125,49 @@ def _units(rows: list[dict[int, int]], cols: list[set[int]]):
         c = best = None
         for c2, v in row.items():
             if v == 1 or v == -1:
-                n = len(cols[c2])
+                n = count[c2]
                 if best is None or n < best:
                     c, best = c2, n
         if c is None:
             continue
         phi = row.pop(c)
-        cols[c].discard(r)
-        updates = []
+        updates = [] if log else None
         if not row:  # the other rows only lose their entry in column c
             for r2 in cols[c]:
                 row2 = rows[r2]
+                q = row2.pop(c, None)
+                if q is None:
+                    continue
                 length = len(row2)
-                buckets[length].discard(r2)
-                updates.append((r2, row2.pop(c) * phi))
-                length -= 1
+                buckets[length + 1].discard(r2)
+                if log:
+                    updates.append((r2, q * phi))
                 if length:
                     buckets[length].add(r2)
                     if length < low:
                         low = length
         else:
             for c2 in row:
-                cols[c2].discard(r)
+                count[c2] -= 1
             for r2 in cols[c]:
                 row2 = rows[r2]
-                buckets[len(row2)].discard(r2)
-                q = row2.pop(c) * phi
+                q = row2.pop(c, None)
+                if q is None:
+                    continue
+                buckets[len(row2) + 1].discard(r2)
+                q *= phi
                 for c2, v in row.items():
                     x = row2.get(c2, 0) - q * v
                     if x:
                         if c2 not in row2:
-                            cols[c2].add(r2)
+                            cols[c2].append(r2)
+                            count[c2] += 1
                         row2[c2] = x
                     else:
                         del row2[c2]
-                        cols[c2].discard(r2)
-                updates.append((r2, q))
+                        count[c2] -= 1
+                if log:
+                    updates.append((r2, q))
                 length = len(row2)
                 if length:
                     while len(buckets) <= length:
@@ -161,7 +175,7 @@ def _units(rows: list[dict[int, int]], cols: list[set[int]]):
                     buckets[length].add(r2)
                     if length < low:
                         low = length
-        cols[c] = set()
+        cols[c], count[c] = [], 0
         rows[r] = {}  # not the emptied row: a fresh dict frees its table
         yield r, c, phi, row, updates
 
@@ -196,13 +210,8 @@ def smith_normal_form(matrix: SparseIntMatrix,
     # V is maintained column-major: vcols[c] = dict row -> value
     vcols = [{c: 1} for c in range(ncols)] if transforms else None
 
-    col_rows: list[set[int]] = [set() for _ in range(ncols)]
-    for r, row in enumerate(m.rows):
-        for c in row:
-            col_rows[c].add(r)
-
     pivots: list[tuple[int, int, int]] = []  # (row, column, factor)
-    for r, c, phi, row, updates in _units(m.rows, col_rows):
+    for r, c, phi, row, updates in _units(m.rows, ncols, transforms):
         if u is not None:
             for r2, q in updates:
                 _axpy(u.rows[r2], u.rows[r], -q)
@@ -211,6 +220,10 @@ def smith_normal_form(matrix: SparseIntMatrix,
             if phi < 0:
                 u.rows[r] = {c2: -x for c2, x in u.rows[r].items()}
         pivots.append((r, c, 1))
+    col_rows: list[set[int]] = [set() for _ in range(ncols)]
+    for r, row in enumerate(m.rows):
+        for c in row:
+            col_rows[c].add(r)
 
     def add_row(src, dst, q):
         # row[dst] += q * row[src]
@@ -319,7 +332,8 @@ def smith_normal_form(matrix: SparseIntMatrix,
         return SNFResult(None, None, factors, nrows, ncols)
 
     v = SparseIntMatrix(ncols, ncols)
-    for c, col in enumerate(vcols):
+    for c in range(ncols):
+        col, vcols[c] = vcols[c], None  # freed as soon as it is copied
         for r, val in col.items():
             v.rows[r][c] = val
     return SNFResult(u, v, factors, nrows, ncols)
@@ -401,11 +415,7 @@ def cancel_units(assemble: Callable[..., SparseIntMatrix],
         # C^{length+1} = 0: the last step only finishes d_{length-1}
         mat = (assemble(k, keep) if k < length
                else SparseIntMatrix(0, len(keep)))
-        cols: list[set[int]] = [set() for _ in range(mat.ncols)]
-        for r, row in enumerate(mat.rows):
-            for c in row:
-                cols[c].add(r)
-        pivots = {r: c for r, c, _, _, _ in _units(mat.rows, cols)}
+        pivots = {r: c for r, c, _, _, _ in _units(mat.rows, mat.ncols)}
         sources = set(pivots.values())
         live = [c for c in range(mat.ncols) if c not in sources]
         if prev is not None:
@@ -422,17 +432,20 @@ def _reduced(diagram: Diagram, j: int) -> list[SNFResult]:
     """For i = 0..n: the rank-only SNF of the residual d_i left by
     `cancel_units` (cached per j); its `ncols` counts the generators of
     C^{i,j} that survive.  Each d_i is assembled on the generators that
-    d_{i-1} left, and no full matrix is kept."""
+    d_{i-1} left, only the bases of C^{i,j} and C^{i+1,j} are held, and
+    no full matrix is kept."""
     def reduce():
-        bases = [enumerate_states(diagram, i, j)
-                 for i in range(diagram.n_total + 1)] + [[]]
+        n = diagram.n_total
+        basis = enumerate_states(diagram, 0, j)
 
-        def assemble(i, keep):
-            live = bases[i] if keep is None else [bases[i][c] for c in keep]
-            return boundary_matrix(diagram, i, j, live, bases[i + 1])
+        def assemble(i, keep):  # called for i = 0, 1, ..., n in turn
+            nonlocal basis
+            live = basis if keep is None else [basis[c] for c in keep]
+            basis = enumerate_states(diagram, i + 1, j) if i < n else []
+            return boundary_matrix(diagram, i, j, live, basis)
 
         return [smith_normal_form(m, transforms=False)
-                for m in cancel_units(assemble, diagram.n_total + 1)]
+                for m in cancel_units(assemble, n + 1)]
     return diagram.cached(("reduced", j), reduce)
 
 

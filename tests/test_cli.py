@@ -152,6 +152,18 @@ def test_bound_rational_checks_hypotheses_once(capsys, count_calls):
         "80ec7fa027836f4f0345b56aee58d1edf24e0ad190e8a5098f793e2377cf5481")
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("h1, h2, prefix", [
+    (6, 6, "23d4d8d31acc9781"), (5, 7, "e1cfed13d799b707"),
+    (6, 7, "3b877dfedd8ab49f")])
+def test_table_json_census_sizes_pinned(capsys, h1, h2, prefix):
+    # the table path's gate: the sha256 of `table --json` at census sizes
+    code, out, err = run(capsys, "table", "--monocircular", f"{h1},{h2}",
+                         "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
+
 def test_pd_file_input(tmp_path, capsys):
     f = tmp_path / "hopf.pd"
     f.write_text(HOPF_2)
@@ -230,6 +242,18 @@ def test_certify_takes_one_of_mu_and_all_even(capsys, flags):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "--mu" in captured.err and "--all-even" in captured.err
+
+
+@pytest.mark.parametrize("limit", ["-1", "x"])
+def test_table_limit_must_be_nonnegative(capsys, limit):
+    # a usage error, not the size guard's exit 4
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--pretzel", "1,1", "--limit", limit])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument --limit: not an integer >= 0: '{limit}'" \
+        in captured.err
 
 
 def test_closed_stdout_pipe_exits_ok():

@@ -1,8 +1,10 @@
 """Smith normal form, homology tables, exactness oracle."""
 
+import inspect
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -168,12 +170,26 @@ def _replay(before, r, c, phi, row, updates):
     return rows
 
 
+def _column_index(steps, rows, ncols):
+    """Check the column index of the suspended `_units` generator: every
+    live count is the number of rows holding the column, and every such
+    row is on the column's list.  Returns (cols, count)."""
+    index = inspect.getgeneratorlocals(steps)
+    cols, count = index["cols"], index["count"]
+    assert len(cols) == len(count) == ncols
+    for c in range(ncols):
+        holders = {r for r, row in enumerate(rows) if c in row}
+        assert count[c] == len(holders), (c, count[c], holders)
+        assert holders <= set(cols[c]), (c, cols[c], holders)
+    return cols, count
+
+
 def test_units_invariants_on_random_sparse_matrices():
     # every pivot is taken from a shortest row holding a unit, its column
     # is the first unit column of fewest entries, no unit is left, and
     # the pivots plus the residual's rank over Q are the rank; each step's
     # (r, c, phi, row, updates) replayed on the rows before it gives the
-    # rows after it
+    # rows after it; after every step the column index is exact
     from khtorsion.homology import _units
     rng = random.Random(11)
     single = filled = 0
@@ -184,15 +200,13 @@ def test_units_invariants_on_random_sparse_matrices():
             for c in rng.sample(range(ncols), min(ncols, rng.randint(0, 4))):
                 line[c] = rng.choice((1, -1, 1, -1, 2, -2, 3, 6))
         rows = [{c: v for c, v in enumerate(line) if v} for line in start]
-        cols = [{r for r, row in enumerate(rows) if c in row}
-                for c in range(ncols)]
-        steps = _units(rows, cols)
+        steps = _units(rows, ncols, log=True)
         pivots = 0
         while True:
             shortest = min((len(row) for row in rows if _has_unit(row)),
                            default=None)
             before = [dict(row) for row in rows]
-            sizes = [len(col) for col in cols]
+            sizes = [sum(c in row for row in rows) for c in range(ncols)]
             step = next(steps, None)
             if step is None:
                 assert shortest is None
@@ -202,7 +216,8 @@ def test_units_invariants_on_random_sparse_matrices():
             assert len(row) + 1 == shortest
             units = [c2 for c2, v in before[r].items() if v in (1, -1)]
             assert c == min(units, key=lambda c2: sizes[c2])
-            assert rows[r] == {} and cols[c] == set()
+            cols, count = _column_index(steps, rows, ncols)
+            assert rows[r] == {} and cols[c] == [] and count[c] == 0
             others = [r2 for r2, line in enumerate(before)
                       if c in line and r2 != r]
             assert sorted(r2 for r2, _ in updates) == others
@@ -212,13 +227,26 @@ def test_units_invariants_on_random_sparse_matrices():
                           for r2, _ in updates for c2 in row)
             pivots += 1
         assert not any(_has_unit(row) for row in rows)
-        assert cols == [{r for r, row in enumerate(rows) if c in row}
-                        for c in range(ncols)]
         residual = [[row.get(c, 0) for c in range(ncols)] for row in rows]
         assert pivots + len(dense_snf_factors(residual)) \
             == len(dense_snf_factors(start))
     # both the single-entry fast path and the rank-one update with fill-in
     assert single and filled, (single, filled)
+
+
+def test_table_working_set_stays_small():
+    # the traced peak of one D(5,5) table on a built diagram: 3.4-3.5 MiB
+    # with a set of rows per column and every basis of j held at once,
+    # 2.3-2.4 MiB with column lists and two bases in flight (Python
+    # 3.10-3.13)
+    d = monocircular(5, 5)
+    tracemalloc.start()
+    try:
+        khovanov_table(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * 2**20, peak / 2**20
 
 
 def test_unknot_kink_homology():
