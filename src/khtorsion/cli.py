@@ -144,11 +144,13 @@ def cmd_certify(args) -> int:
     for mu in mus:
         cert = certify_torsion(d, s0, mu, verify_even=args.verify_even,
                                oracle=args.verify_oracle)
+        if args.json:  # encoded now: X and V are freed before the next
+            cert = json.dumps(cert.to_json(), indent=2, sort_keys=True)
         out.append(cert)
-    if args.json:
-        print(json.dumps({"schema": 1,
-                          "certificates": [c.to_json() for c in out]},
-                         indent=2, sort_keys=True))
+    if args.json:  # json.dumps(indent=2) of {"certificates": out, "schema": 1}
+        body = ",\n".join("    " + c.replace("\n", "\n    ") for c in out)
+        print('{\n  "certificates": [' + (f"\n{body}\n  " if out else "")
+              + '],\n  "schema": 1\n}')
     else:
         for c in out:
             flags = ", ".join(f"{k}={v}" for k, v in sorted(c.flags.items()))

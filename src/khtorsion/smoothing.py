@@ -41,9 +41,9 @@ class Smoothing:
     Each step of the walk crosses one joined pair of slots, and records
     the circle as the pair's scar side.
 
-    A smoothing is flat tuples of small ints, about 450 bytes at 14
-    crossings.  No data stored on a diagram refers back to it, so a CLI
-    call's smoothings are freed when the call returns.
+    A smoothing is flat: `sides` is bytes (a tuple above 256 circles),
+    190-290 bytes a state at 14 crossings.  No data stored on a diagram
+    refers back to it, so a CLI call's smoothings are freed on return.
 
     Attributes:
         circles: number of circles.
@@ -75,7 +75,7 @@ class Smoothing:
                 s = (p >> 1) ^ (p & b)
         self.circles = len(min_edges)
         self.min_edges = tuple(min_edges)
-        self.sides = tuple(sides)
+        self.sides = bytes(sides) if len(min_edges) <= 256 else tuple(sides)
 
     def is_monochord(self, crossing: int) -> bool:
         return self.sides[2 * crossing] == self.sides[2 * crossing + 1]

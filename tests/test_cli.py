@@ -8,15 +8,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import khtorsion
-from khtorsion import Diagram, Smoothing
+from khtorsion import (Diagram, Smoothing, TorsionError, all_even_tuples,
+                       certify_torsion, monocircular)
 from khtorsion.cli import main
 from khtorsion.knotdata import HOPF_2
+from khtorsion.torsion import route_setup
 
 
 def run(capsys, *argv):
@@ -103,6 +106,62 @@ def test_certify_json_roundtrip(capsys):
     assert cert["schema"] == 1
     assert cert["order"] == 2
     assert payload == json.loads(json.dumps(payload))
+
+
+D36_ALL_EVEN = ("certify", "--monocircular", "3,6", "--all-even",
+                "--verify-even", "--json")
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_certify_json_layout_is_one_dumps(capsys, monkeypatch, empty):
+    # each certificate is encoded as it is made; the whole payload must
+    # still read as one json.dumps(indent=2) of it, `[]` when empty
+    d = monocircular(3, 6)
+    mus = all_even_tuples(route_setup(d, 0).report.mu_heights())
+    assert len(mus) > 1
+    if empty:
+        monkeypatch.setattr(khtorsion.cli, "all_even_tuples", lambda h: [])
+        mus = []
+    certs = [certify_torsion(d, 0, mu, verify_even=True) for mu in mus]
+    code, out, err = run(capsys, *D36_ALL_EVEN)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(
+        {"schema": 1, "certificates": [c.to_json() for c in certs]},
+        indent=2, sort_keys=True) + "\n"
+
+
+def test_certify_error_after_a_certificate_prints_nothing(capsys,
+                                                         monkeypatch):
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        calls.append(args[2])
+        if len(calls) == 2:
+            raise TorsionError("no certificate")
+        return certify_torsion(*args, **kwargs)
+
+    monkeypatch.setattr(khtorsion.cli, "certify_torsion", second_fails)
+    code, out, err = run(capsys, *D36_ALL_EVEN)
+    assert (code, out, err) == (2, "", "error: no certificate\n")
+    assert len(calls) == 2
+
+
+def test_certify_json_working_set_stays_small():
+    # the traced peak of one certify --json of D(6,7), stdout captured:
+    # 6.0-6.7 MiB with every certificate kept until the end and `sides`
+    # a tuple, 2.6-3.3 MiB with each certificate encoded as it is made
+    # and `sides` as bytes (Python 3.11)
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["certify", "--monocircular", "6,7", "--all-even",
+                         "--verify-even", "--json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(json.loads(out.getvalue())["certificates"]) > 1
+    assert peak < 4.5 * 2**20, peak / 2**20
 
 
 def test_grid_text_and_json(capsys):
@@ -221,6 +280,8 @@ def test_ladder_first_order_flag(capsys):
     (("table", "--pd", "{binary}"), 2),
     # a negative state mask
     (("certify", "--pretzel", "3,3,3", "--state", "-1", "--mu", "2"), 2),
+    # the all-B state of 301 circles, more than a byte can number
+    (("certify", "--pretzel", "300", "--state", "f" * 75, "--all-even"), 3),
 ])
 def test_bad_input_exit_code_without_traceback(capsys, tmp_path, argv,
                                                expected):

@@ -159,21 +159,26 @@ FAMILY_DIAGRAMS = st.tuples(st.one_of(
 ), st.booleans()).map(lambda dm: dm[0].mirror() if dm[1] else dm[0])
 
 
+def check_smoothing_against_reference(d, labels):
+    sm = smooth(d, labels)
+    blocks, pairs = reference_circles(d, labels)
+    index = {e: k for k, b in enumerate(blocks) for e in b}
+    assert sm.circles == len(blocks)
+    assert circle_map(d, labels) == index
+    assert sm.min_edges == tuple(min(b) for b in blocks)
+    # bytes, or a tuple above 256 circles: the same values either way
+    assert tuple(sm.sides) == tuple(index[pair[0]] for joined in pairs
+                                    for pair in joined)
+    # an edge's circle reads the same off the pair at either port
+    _, edge_at, _ = d.ports
+    for p, e in enumerate(edge_at):
+        b = labels >> (p >> 2) & 1
+        assert sm.sides[(p >> 1) ^ (p & b)] == index[e]
+
+
 def check_smoothings_against_reference(d):
     for labels in range(1 << d.n_total):
-        sm = smooth(d, labels)
-        blocks, pairs = reference_circles(d, labels)
-        index = {e: k for k, b in enumerate(blocks) for e in b}
-        assert sm.circles == len(blocks)
-        assert circle_map(d, labels) == index
-        assert sm.min_edges == tuple(min(b) for b in blocks)
-        assert sm.sides == tuple(index[pair[0]] for joined in pairs
-                                 for pair in joined)
-        # an edge's circle reads the same off the pair at either port
-        _, edge_at, _ = d.ports
-        for p, e in enumerate(edge_at):
-            b = labels >> (p >> 2) & 1
-            assert sm.sides[(p >> 1) ^ (p & b)] == index[e]
+        check_smoothing_against_reference(d, labels)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -191,6 +196,14 @@ def test_smoothing_matches_edge_partition_small(d):
     check_smoothings_against_reference(d)
 
 
+def test_smoothing_with_more_circles_than_a_byte_holds():
+    # the all-B state of a 300-crossing twist has 301 circles, one more
+    # than fits in the bytes that smaller smoothings keep as `sides`
+    d = pretzel([300])
+    assert smooth(d, state_B(d)).circles == 301
+    check_smoothing_against_reference(d, state_B(d))
+
+
 @pytest.mark.parametrize("warm", [False, True])
 def test_smooth_rejects_states_out_of_range(warm):
     # the range is checked on a cache miss; an out-of-range state is
@@ -206,8 +219,9 @@ def test_smooth_rejects_states_out_of_range(warm):
 
 
 def test_smoothing_is_flat_and_small():
-    # flat tuples of small ints, no per-state dict: at most 600 bytes for
-    # the object and its slot values on a 14-crossing diagram
+    # flat values, no per-state dict: at most 320 bytes for the object
+    # and its slot values on a 14-crossing diagram (193-289 bytes with
+    # `sides` as bytes, 396-492 with a tuple of ints)
     d = monocircular(7, 7)
     rng = random.Random(77)
     for labels in [0, state_B(d)] + [rng.randrange(1 << d.n_total)
@@ -215,7 +229,7 @@ def test_smoothing_is_flat_and_small():
         sm = smooth(d, labels)
         values = [getattr(sm, name) for name in Smoothing.__slots__]
         assert not any(isinstance(v, dict) for v in values)
-        assert sys.getsizeof(sm) + sum(map(sys.getsizeof, values)) <= 600
+        assert sys.getsizeof(sm) + sum(map(sys.getsizeof, values)) <= 320
 
 
 def test_mono_vs_bichord():
