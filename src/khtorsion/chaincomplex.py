@@ -154,10 +154,11 @@ def incidence(diagram: Diagram, s, t) -> int:
     tm = smooth(diagram, t.labels)
     side0, side1 = sm.sides[2 * x:2 * x + 2]
     c0, c1 = tm.sides[2 * x:2 * x + 2]
-    # common circles keep their signs
-    for c, min_edge in enumerate(sm.min_edges):
+    # common circles keep their signs, read edge by edge
+    for e in diagram.edges:
+        c = sm.circle_of(diagram, s.labels, e)
         if c not in (side0, side1) and (s.plus >> c & 1) != (
-                t.plus >> tm.circle_of(diagram, t.labels, min_edge) & 1):
+                t.plus >> tm.circle_of(diagram, t.labels, e) & 1):
             return 0
     if side0 != side1:  # merging
         a = s.plus >> side0 & 1

@@ -154,7 +154,7 @@ def cmd_certify(args) -> int:
     else:
         for c in out:
             flags = ", ".join(f"{k}={v}" for k, v in sorted(c.flags.items()))
-            print(f"mu={list(c.mu)} route={c.route} order=2 "
+            print(f"mu={list(c.mu)} route={c.route} order={c.order} "
                   f"(i,j)=({c.i},{c.j}) (h,q)=({c.h},{c.q}) [{flags}]")
     return EXIT_OK
 
@@ -174,7 +174,7 @@ def cmd_bound(args) -> int:
     report = family_lower_bound(family, params)
     payload = report.to_json()
     if report.applicable:
-        s0 = d.family_negative if d.family_negative is not None else 0
+        s0 = d.family_negative
         rep = checked_hypotheses(d, s0)
         if rep.route != "rejected":
             classes = admissible_classes(rep.mu_heights())

@@ -36,46 +36,44 @@ class Smoothing:
     slot).  A circle arriving at port p leaves its crossing through port
     ``p ^ 1`` (A label) or ``p ^ 3`` (B label) and arrives at the far
     end of that port's edge.  The circles are started from the edges'
-    arrival ports in ascending label order, so each starts at its least
-    edge and they come in the order of their least edges.
-    Each step of the walk crosses one joined pair of slots, and records
-    the circle as the pair's scar side.
+    arrival ports in ascending label order, so circle k, the k-th
+    walked, is numbered by its least edge.  Each step of the walk
+    crosses one joined pair of slots, and records the circle as the
+    pair's scar side.
 
     A smoothing is flat: `sides` is bytes (a tuple above 256 circles),
-    190-290 bytes a state at 14 crossings.  No data stored on a diagram
-    refers back to it, so a CLI call's smoothings are freed on return.
+    about 140 bytes a state at 14 crossings.  No data stored on a
+    diagram refers back to it, so a CLI call's smoothings are freed on
+    return.
 
     Attributes:
         circles: number of circles.
-        min_edges: canonical circle index -> minimal edge label on it.
         sides: ``sides[2 x]`` and ``sides[2 x + 1]`` are the circles
             side0 and side1 that the scar of crossing x touches; side0
             runs through the joined pair containing slot 0.
     """
 
-    __slots__ = ("circles", "min_edges", "sides")
+    __slots__ = ("circles", "sides")
 
     def __init__(self, diagram: Diagram, labels: int):
         far, _, arrivals = diagram.ports
-        min_edges: list[int] = []
+        k = 0  # circles walked
         # joined pair t of crossing c is sides[2 c + t], -1 until walked;
         # from port p, t is bit 1 of the slot, xor bit 0 under B
         sides = [-1] * (len(far) >> 1)
-        for e0, p in arrivals:
+        for _, p in arrivals:
             b = labels >> (p >> 2) & 1
             s = (p >> 1) ^ (p & b)
             if sides[s] >= 0:
                 continue
-            k = len(min_edges)
-            min_edges.append(e0)
             while sides[s] < 0:  # back at the start pair: circle closed
                 sides[s] = k
                 p = far[p ^ (b << 1 | 1)]
                 b = labels >> (p >> 2) & 1
                 s = (p >> 1) ^ (p & b)
-        self.circles = len(min_edges)
-        self.min_edges = tuple(min_edges)
-        self.sides = bytes(sides) if len(min_edges) <= 256 else tuple(sides)
+            k += 1
+        self.circles = k
+        self.sides = bytes(sides) if k <= 256 else tuple(sides)
 
     def is_monochord(self, crossing: int) -> bool:
         return self.sides[2 * crossing] == self.sides[2 * crossing + 1]

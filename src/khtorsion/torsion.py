@@ -547,7 +547,7 @@ def monocircular_V(diagram: Diagram, which: int, mu: int) -> Chain:
             f"mu must be odd with 1 <= mu < {h}; got {mu}")
     if which == 1:
         sizes = (mu, 1)
-        coeff = -1 if mu % 2 else 1
+        coeff = -1  # (-1)^mu, mu odd
         minus = 0
     else:
         sizes = (1, mu)

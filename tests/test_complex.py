@@ -234,7 +234,7 @@ def _transport_cases():
 
 def test_cube_edges_transport_matches_per_circle_map():
     # the mask-and-shift transport against the map of every untouched
-    # circle c to the neighbour's circle through min_edges[c]
+    # circle c to the neighbour's circle through each edge of c
     six = 0
     for d, states in _transport_cases():
         for labels in states:
@@ -254,7 +254,8 @@ def test_cube_edges_transport_matches_per_circle_map():
                     else:
                         assert min(c0, c1) == side0
                     base = 0
-                    for c, e in enumerate(sm.min_edges):
+                    for e in d.edges:
+                        c = sm.circle_of(d, labels, e)
                         if c not in (side0, side1) and plus >> c & 1:
                             base |= 1 << tm.circle_of(d, new_labels, e)
                     a, b = plus >> side0 & 1, plus >> side1 & 1

@@ -109,11 +109,11 @@ def test_smooth_is_label_local():
         circle_before = circle_map(d, labels)
         circle_after = circle_map(d, labels ^ (1 << x))
         # circles not incident to x keep their edge sets
-        for c, min_edge in enumerate(before.min_edges):
+        for c in range(before.circles):
             if c in touched:
                 continue
             edges_before = {e for e, k in circle_before.items() if k == c}
-            c_after = circle_after[min_edge]
+            c_after = circle_after[min(edges_before)]
             edges_after = {e for e, k in circle_after.items()
                            if k == c_after}
             assert edges_before == edges_after
@@ -164,8 +164,8 @@ def check_smoothing_against_reference(d, labels):
     blocks, pairs = reference_circles(d, labels)
     index = {e: k for k, b in enumerate(blocks) for e in b}
     assert sm.circles == len(blocks)
+    # blocks are sorted by their least edge, so this checks the numbering
     assert circle_map(d, labels) == index
-    assert sm.min_edges == tuple(min(b) for b in blocks)
     # bytes, or a tuple above 256 circles: the same values either way
     assert tuple(sm.sides) == tuple(index[pair[0]] for joined in pairs
                                     for pair in joined)
@@ -219,9 +219,9 @@ def test_smooth_rejects_states_out_of_range(warm):
 
 
 def test_smoothing_is_flat_and_small():
-    # flat values, no per-state dict: at most 320 bytes for the object
-    # and its slot values on a 14-crossing diagram (193-289 bytes with
-    # `sides` as bytes, 396-492 with a tuple of ints)
+    # flat values, no per-state dict: at most 160 bytes for the object
+    # and its slot values on a 14-crossing diagram (137 bytes: a circle
+    # count and `sides` as bytes)
     d = monocircular(7, 7)
     rng = random.Random(77)
     for labels in [0, state_B(d)] + [rng.randrange(1 << d.n_total)
@@ -229,7 +229,7 @@ def test_smoothing_is_flat_and_small():
         sm = smooth(d, labels)
         values = [getattr(sm, name) for name in Smoothing.__slots__]
         assert not any(isinstance(v, dict) for v in values)
-        assert sys.getsizeof(sm) + sum(map(sys.getsizeof, values)) <= 320
+        assert sys.getsizeof(sm) + sum(map(sys.getsizeof, values)) <= 160
 
 
 def test_mono_vs_bichord():
