@@ -132,6 +132,23 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _certificate_json(cert) -> str:
+    """json.dumps(cert.to_json(), indent=2, sort_keys=True), with the
+    chains written by hand, since the pure-Python encoder that indent
+    forces spends most of its time on them.  Their terms are
+    [hex, hex, int], which need no escaping, and neither chain of a
+    certificate is empty.  "V" and "X" sort before every lowercase key,
+    so they open the object."""
+    payload = cert.to_json()
+    text = "{\n"
+    for key in ("V", "X"):
+        terms = ",\n".join(
+            '    [\n      "%s",\n      "%s",\n      %d\n    ]' % tuple(t)
+            for t in payload.pop(key))
+        text += f'  "{key}": [\n{terms}\n  ],\n'
+    return text + json.dumps(payload, indent=2, sort_keys=True)[2:]
+
+
 def cmd_certify(args) -> int:
     d = _build_diagram(args)
     s0 = _state_mask(d, args.state)
@@ -140,13 +157,19 @@ def cmd_certify(args) -> int:
         mus = all_even_tuples(route_setup(d, s0).report.mu_heights())
     else:
         mus = [tuple(args.mu)]
+    # computed from the last tuple to the first, printed in tuple order:
+    # a smoothing is derived by one merge from a smoothed neighbour
+    # with one more B label, and later tuples have chains of higher
+    # degree i, so this order finds most neighbours already smoothed
+    # (see `Smoothing`)
     out = []
-    for mu in mus:
+    for mu in reversed(mus):
         cert = certify_torsion(d, s0, mu, verify_even=args.verify_even,
                                oracle=args.verify_oracle)
         if args.json:  # encoded now: X and V are freed before the next
-            cert = json.dumps(cert.to_json(), indent=2, sort_keys=True)
+            cert = _certificate_json(cert)
         out.append(cert)
+    out.reverse()
     if args.json:  # json.dumps(indent=2) of {"certificates": out, "schema": 1}
         body = ",\n".join("    " + c.replace("\n", "\n    ") for c in out)
         print('{\n  "certificates": [' + (f"\n{body}\n  " if out else "")

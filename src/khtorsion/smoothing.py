@@ -29,6 +29,11 @@ class SmoothingError(ValueError):
     """Invalid state or enhanced state for the given diagram."""
 
 
+# translate table of a merge of circles lo < hi, under hi << 8 | lo:
+# hi -> lo, every k > hi -> k - 1, the rest unchanged
+_MERGES: dict[int, bytes] = {}
+
+
 class Smoothing:
     """The circles-and-scars picture of one Kauffman state.
 
@@ -40,6 +45,18 @@ class Smoothing:
     walked, is numbered by its least edge.  Each step of the walk
     crosses one joined pair of slots, and records the circle as the
     pair's scar side.
+
+    A state is walked only when it cannot be derived from a cached
+    neighbour by one merge.  If the state u = labels ^ (1 << x) is
+    already smoothed and its scar at x is a bichord on circles lo < hi,
+    flipping x merges those two circles and touches no other.  The
+    merged circle holds both least edges, so it takes index lo; the
+    circles above hi each lose one index and the rest keep theirs (the
+    rule `chaincomplex._cube_edges` uses for a merge).  Both pairs of x
+    lie on the merged circle, and every other pair keeps its circle, so
+    the state's `sides` is u's renumbered by that rule, one
+    `bytes.translate`.  A neighbour whose `sides` is a tuple is passed
+    over.
 
     A smoothing is flat: `sides` is bytes (a tuple above 256 circles),
     about 140 bytes a state at 14 crossings.  No data stored on a
@@ -56,6 +73,24 @@ class Smoothing:
     __slots__ = ("circles", "sides")
 
     def __init__(self, diagram: Diagram, labels: int):
+        cache = diagram._smooth_cache
+        for x in range(diagram.n_total):
+            u = cache.get(labels ^ (1 << x))
+            if u is None:
+                continue
+            sides = u.sides
+            lo, hi = sides[2 * x], sides[2 * x + 1]
+            if lo == hi or type(sides) is tuple:
+                continue
+            if lo > hi:
+                lo, hi = hi, lo
+            table = _MERGES.get(hi << 8 | lo)
+            if table is None:
+                table = _MERGES[hi << 8 | lo] = (
+                    bytes(range(hi)) + bytes((lo,)) + bytes(range(hi, 255)))
+            self.circles = u.circles - 1
+            self.sides = sides.translate(table)
+            return
         far, _, arrivals = diagram.ports
         k = 0  # circles walked
         # joined pair t of crossing c is sides[2 c + t], -1 until walked;

@@ -467,8 +467,10 @@ def certify_torsion(diagram: Diagram, s0: int, mu: Sequence[int],
             f"mu={list(mu)} inadmissible for heights {list(heights)}: need "
             "2 <= mu_i <= h_i and some even mu_r < h_r")
 
-    x = chain_X(d2, s0_new, ladders, mu)
+    # V before X: each state of X lies one B label below states of V, so
+    # its smoothing is derived from theirs by one merge (see `Smoothing`)
     v = chain_V(d2, s0_new, ladders, mu)
+    x = chain_X(d2, s0_new, ladders, mu)
     dx = differential(d2, x)
     if not (dx - 2 * v).is_zero():
         raise TorsionError("d(X) != 2V; construction invariant violated")

@@ -114,20 +114,53 @@ D36_ALL_EVEN = ("certify", "--monocircular", "3,6", "--all-even",
 
 @pytest.mark.parametrize("empty", [False, True])
 def test_certify_json_layout_is_one_dumps(capsys, monkeypatch, empty):
-    # each certificate is encoded as it is made; the whole payload must
-    # still read as one json.dumps(indent=2) of it, `[]` when empty
-    d = monocircular(3, 6)
-    mus = all_even_tuples(route_setup(d, 0).report.mu_heights())
-    assert len(mus) > 1
+    # each certificate is encoded as it is made, the last tuple first;
+    # the whole payload must still read as one json.dumps(indent=2) of
+    # the certificates in tuple order, `[]` when empty, and the text
+    # mode must list them in that order too
     if empty:
         monkeypatch.setattr(khtorsion.cli, "all_even_tuples", lambda h: [])
-        mus = []
-    certs = [certify_torsion(d, 0, mu, verify_even=True) for mu in mus]
-    code, out, err = run(capsys, *D36_ALL_EVEN)
-    assert (code, err) == (0, "")
-    assert out == json.dumps(
-        {"schema": 1, "certificates": [c.to_json() for c in certs]},
-        indent=2, sort_keys=True) + "\n"
+    for h1, h2 in [(3, 6), (5, 6)]:
+        d = monocircular(h1, h2)
+        mus = all_even_tuples(route_setup(d, 0).report.mu_heights())
+        assert len(mus) > 1
+        if empty:
+            mus = []
+        certs = [certify_torsion(d, 0, mu, verify_even=True) for mu in mus]
+        argv = ("certify", "--monocircular", f"{h1},{h2}", "--all-even",
+                "--verify-even")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(
+            {"schema": 1, "certificates": [c.to_json() for c in certs]},
+            indent=2, sort_keys=True) + "\n"
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == "".join(
+            f"mu={list(c.mu)} route={c.route} order={c.order} "
+            f"(i,j)=({c.i},{c.j}) (h,q)=({c.h},{c.q}) "
+            f"[{', '.join(f'{k}={v}' for k, v in sorted(c.flags.items()))}]\n"
+            for c in certs)
+
+
+def test_certificate_json_is_json_dumps():
+    # the hand-written chains of `_certificate_json` against json.dumps,
+    # on every certificate of the benchmark's certify and oracle items
+    for family, params, state, oracle in [
+            ("monocircular", (6, 7), "sA", False),
+            ("monocircular", (7, 7), "sA", False),
+            ("pretzel", (5, -3, 2, 3, -2), "signed", False),
+            ("braid3", (7, 2), "sA", False),
+            ("pretzel", (5, -3, 2, 3, -2), "signed", True),
+            ("monocircular", (5, 5), "sA", True),
+            ("monocircular", (3, 6), "sA", True)]:
+        d = khtorsion.cli._family_diagram(family, list(params))
+        s0 = khtorsion.cli._state_mask(d, state)
+        for mu in all_even_tuples(route_setup(d, s0).report.mu_heights()):
+            cert = certify_torsion(d, s0, mu, verify_even=not oracle,
+                                   oracle=oracle)
+            assert khtorsion.cli._certificate_json(cert) == json.dumps(
+                cert.to_json(), indent=2, sort_keys=True)
 
 
 def test_certify_error_after_a_certificate_prints_nothing(capsys,

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import relabelled
-from khtorsion import (Chain, EnhancedState, Smoothing, SmoothingError,
-                       braid3_closure, degrees, enumerate_states,
-                       monocircular, parse_pd, pretzel, rational,
-                       reorder_crossings, smooth, state_B)
+from khtorsion import (Chain, Diagram, EnhancedState, Smoothing,
+                       SmoothingError, braid3_closure, degrees,
+                       enumerate_states, monocircular, parse_pd, pretzel,
+                       rational, reorder_crossings, smooth, state_B)
 from khtorsion.knotdata import HOPF_2, KNOT_3_1
 
 
@@ -177,8 +177,16 @@ def check_smoothing_against_reference(d, labels):
 
 
 def check_smoothings_against_reference(d):
-    for labels in range(1 << d.n_total):
-        check_smoothing_against_reference(d, labels)
+    # a smoothing is derived from whichever neighbour is already cached,
+    # so every state is checked under three orders, each on a fresh
+    # diagram: ascending, descending and seeded shuffled
+    states = list(range(1 << d.n_total))
+    shuffled = states[:]
+    random.Random(len(states)).shuffle(shuffled)
+    for order in (states, states[::-1], shuffled):
+        fresh = Diagram(d.crossings, d.components, d.family_negative)
+        for labels in order:
+            check_smoothing_against_reference(fresh, labels)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -202,6 +210,16 @@ def test_smoothing_with_more_circles_than_a_byte_holds():
     d = pretzel([300])
     assert smooth(d, state_B(d)).circles == 301
     check_smoothing_against_reference(d, state_B(d))
+    # its neighbours cannot be derived from its tuple, so they are
+    # walked: one with 300 circles, and one with 256 next to one with 257
+    neighbour = state_B(d) ^ 1
+    assert type(smooth(d, neighbour).sides) is tuple
+    check_smoothing_against_reference(d, neighbour)
+    b_257 = state_B(d) >> 44 << 44
+    assert type(smooth(d, b_257).sides) is tuple
+    assert type(smooth(d, b_257 ^ 1 << 44).sides) is bytes
+    for labels in (b_257, b_257 ^ 1 << 44):
+        check_smoothing_against_reference(d, labels)
 
 
 @pytest.mark.parametrize("warm", [False, True])
