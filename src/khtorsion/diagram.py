@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class DiagramError(ValueError):
@@ -197,7 +197,6 @@ def _ports(quads: Sequence[Sequence[int]]) -> tuple[list[int], list[int],
 
 def _finish(quads: Sequence[tuple[int, int, int, int]],
             mode: str = "pd",
-            directed: Optional[Mapping[int, int]] = None,
             family_negative: Optional[int] = None) -> Diagram:
     """Build a Diagram from raw quadruples.
 
@@ -205,19 +204,15 @@ def _finish(quads: Sequence[tuple[int, int, int, int]],
                  under-strand; orientations are recovered from these
                  constraints and checked for consistency.
     mode="auto": slot 0 only marks the under axis; each component is
-                 oriented deterministically (or following `directed`,
-                 a map edge -> head port) and crossings are rotated by
-                 two slots where needed.
+                 oriented the way it is traced, and crossings are
+                 rotated by two slots where needed.
 
     Components are traced from the edges in ascending label order, so
     each starts at its least edge and they come in the order of their
-    least edges.  A strand arriving at port p goes straight on through
-    port ``p ^ 2``.
+    least edges.  The trace enters that edge at its later port, and a
+    strand arriving at port p goes straight on through port ``p ^ 2``.
+    The callers pass 4-tuples of ints; `parse_pd` checks outside input.
     """
-    quads = [tuple(int(x) for x in q) for q in quads]
-    for q in quads:
-        if len(q) != 4:
-            raise DiagramError(f"malformed quadruple {q!r}: expected 4 edge labels")
     counts: dict[int, int] = {}
     for q in quads:
         for e in q:
@@ -237,21 +232,16 @@ def _finish(quads: Sequence[tuple[int, int, int, int]],
         while p != start:
             cycle.append(p)
             p = far[p ^ 2]
+        edges = [edge_at[p] for p in cycle]
+        forward = True
         if mode == "pd":
             # slot 0 is the incoming under end, slot 2 the outgoing one
             votes = {p & 3 == 0 for p in cycle if not p & 1}
-        else:
-            votes = {p == directed[edge_at[p]] for p in cycle
-                     if edge_at[p] in directed}
-        if len(votes) > 1:
-            raise DiagramError(
-                "inconsistent orientation inference on component containing "
-                f"edge {e0}")
-        edges = [edge_at[p] for p in cycle]
-        if votes:
-            forward = votes.pop()
-        else:
-            forward = mode != "pd" or _label_forward(edges)
+            if len(votes) > 1:
+                raise DiagramError(
+                    "inconsistent orientation inference on component "
+                    f"containing edge {e0}")
+            forward = votes.pop() if votes else _label_forward(edges)
         if not forward:
             edges.reverse()
         m = edges.index(min(edges))
@@ -391,15 +381,15 @@ class _Builder:
     Diagrams are built from twist bands (`band`), whose crossings take
     their slots from `_BAND_SLOTS`, joined by `wire`.  Ports are flat,
     port = 4 * crossing + slot; edge labels are handed out in `wire`
-    call order.  `finish` orients components and normalises slot 0 to
-    the incoming under end.
+    call order.  `finish` orients each component the way `_finish`
+    traces it, from its least edge into that edge's later port, and
+    normalises slot 0 to the incoming under end.
     """
 
     def __init__(self):
         self.slots: list[Optional[int]] = []  # edge label at each port
         self.next_edge = 1
         self.negative_mask = 0
-        self.directed: dict[int, int] = {}  # edge -> head port
 
     def band(self, count: int, kind: str) -> tuple[int, int, int, int]:
         """Add a band of `count` crossings of `kind`: 'v+'/'v-' for a
@@ -420,17 +410,14 @@ class _Builder:
         last = len(self.slots) - 4
         return first + in0, first + in1, last + out0, last + out1
 
-    def wire(self, a: int, b: int, forward: bool = False) -> None:
-        """Connect two ports with a fresh edge; `forward` marks the edge
-        as oriented from `a` to `b` (used by braid closures)."""
+    def wire(self, a: int, b: int) -> None:
+        """Connect two ports with a fresh edge."""
         for p in (a, b):
             if self.slots[p] is not None:
                 raise DiagramError(f"slot {divmod(p, 4)} wired twice")
         e = self.next_edge
         self.next_edge += 1
         self.slots[a] = self.slots[b] = e
-        if forward:
-            self.directed[e] = b
 
     def finish(self) -> Diagram:
         quads = [tuple(self.slots[p:p + 4])
@@ -438,8 +425,7 @@ class _Builder:
         for ci, q in enumerate(quads):
             if None in q:
                 raise DiagramError(f"crossing {ci + 1} has unwired slots")
-        return _finish(quads, mode="auto", directed=self.directed,
-                       family_negative=self.negative_mask)
+        return _finish(quads, mode="auto", family_negative=self.negative_mask)
 
 
 def pretzel(entries: Sequence[int]) -> Diagram:
@@ -527,9 +513,12 @@ def braid3_closure(exponents: Sequence[int]) -> Diagram:
 
     Odd positions are powers of sigma_1 (strands 1-2), even positions
     powers of sigma_2 (strands 2-3); the word is read left to right and
-    crossings are numbered in that order.  All strands are oriented
-    along the braid, so an all-positive word yields only positive
-    crossings.
+    crossings are numbered in that order.  Components are oriented as
+    traced, which runs every strand along the braid, top to bottom: a
+    component's least edge is a wire from one crossing down to a later
+    one (the closure wires get the last labels), and the trace enters
+    it at its later port, the top of the later crossing.  So an
+    all-positive word yields only positive crossings.
     """
     exponents = [int(a) for a in exponents]
     if not exponents:
@@ -550,12 +539,12 @@ def braid3_closure(exponents: Sequence[int]) -> Diagram:
                 if dangling[k] is None:
                     tops[k] = top
                 else:
-                    b.wire(dangling[k], top, forward=True)
+                    b.wire(dangling[k], top)
                 dangling[k] = bottom
     for k in range(3):
         if dangling[k] is None:
             raise DiagramError("braid word leaves a strand untouched")
-        b.wire(dangling[k], tops[k], forward=True)
+        b.wire(dangling[k], tops[k])
     return b.finish()
 
 

@@ -79,8 +79,6 @@ def _c0_circle(diagram: Diagram, labels: int, ladder: Ladder,
     if m1 < ladder.height - 1:
         down_edge = next(iter(ladder.gap_edges[m1]))
         down = sm.circle_of(diagram, labels, down_edge)
-        if side0 == down and side1 == down:
-            raise TorsionError("cannot separate periphery circle")
         if down not in (side0, side1):
             raise TorsionError(
                 f"intermediate circle of ladder at crossing {crossing + 1} "

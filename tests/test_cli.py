@@ -315,12 +315,17 @@ def test_ladder_first_order_flag(capsys):
     (("certify", "--pretzel", "3,3,3", "--state", "-1", "--mu", "2"), 2),
     # the all-B state of 301 circles, more than a byte can number
     (("certify", "--pretzel", "300", "--state", "f" * 75, "--all-even"), 3),
+    # PD text that parse_pd rejects: truncated JSON, a JSON object, and
+    # a PD[] wrapper with no terms
+    (("table", "--pd-inline", "[[1,2"), 2),
+    (("table", "--pd-inline", '{"a": 1}'), 2),
+    (("table", "--pd-inline", "PD[]"), 2),
 ])
 def test_bad_input_exit_code_without_traceback(capsys, tmp_path, argv,
                                                expected):
     binary = tmp_path / "binary.pd"
     binary.write_bytes(b"\xff\xfe\x00garbage")
-    argv = [a.format(binary=binary) for a in argv]
+    argv = [a.replace("{binary}", str(binary)) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == expected
     assert "Traceback" not in out + err
@@ -348,6 +353,16 @@ def test_table_limit_must_be_nonnegative(capsys, limit):
     assert captured.out == ""
     assert f"argument --limit: not an integer >= 0: '{limit}'" \
         in captured.err
+
+
+def test_family_entries_must_be_integers(capsys):
+    # a usage error from argparse, before any diagram is built
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--pretzel", "1,x"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --pretzel: not an integer list: '1,x'" in captured.err
 
 
 def test_closed_stdout_pipe_exits_ok():

@@ -164,6 +164,18 @@ def test_braid3_closure_stats():
     assert braid3_closure([3, -2, 2, 2]).n_total == 9
 
 
+def test_braid3_crossings_have_their_letters_signs():
+    """Every strand runs along the braid: a strand reversed against the
+    others would flip the signs of the crossings it shares with them."""
+    values = (-3, -2, -1, 1, 2, 3, 4)
+    words = [w for n in (2, 3, 4) for w in itertools.product(values, repeat=n)]
+    assert len(words) == 2793
+    for w in words:
+        expected = [1 if a > 0 else -1 for a in w for _ in range(abs(a))]
+        signs = [c.sign for c in braid3_closure(w).crossings]
+        assert signs == expected, w
+
+
 def test_braid3_empty():
     with pytest.raises(DiagramError):
         braid3_closure([])

@@ -342,6 +342,22 @@ def test_is_exact_zero_and_image():
     assert differential(d, wit) == v
 
 
+@pytest.mark.parametrize("build, j", [
+    pytest.param(lambda: pretzel([-1]), -2, id="P(-1)"),
+    pytest.param(lambda: parse_pd(KNOT_3_1), -3, id="3_1"),
+])
+def test_is_exact_with_nothing_below(build, j):
+    # at i = 0 the group C^{i-1,j} is empty, so no cycle but 0 is exact:
+    # the all-A, all-minus state is a cycle of infinite order
+    d = build()
+    (s,) = enumerate_states(d, 0, j)
+    assert s.labels == 0 and s.plus == 0
+    c = Chain(d, 0, j, {s: 1})
+    assert differential(d, c).is_zero()
+    assert is_exact(c) == (False, None)
+    assert class_order(c) == math.inf
+
+
 def test_is_exact_requires_cycle():
     d = parse_pd(KNOT_3_1)
     s = enumerate_states(d, 0, smooth_j(d))[0]
