@@ -204,13 +204,6 @@ class SparseIntMatrix:
         return SparseIntMatrix(self.nrows, self.ncols,
                                [dict(r) for r in self.rows])
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseIntMatrix":
-        m = cls(n, n)
-        for k in range(n):
-            m.rows[k][k] = 1
-        return m
-
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
@@ -226,11 +219,6 @@ class SparseIntMatrix:
                         del acc[c]
             out.rows[r] = acc
         return out
-
-    def apply(self, vec: list[int]) -> list[int]:
-        if len(vec) != self.ncols:
-            raise ValueError("shape mismatch")
-        return [sum(v * vec[c] for c, v in row.items()) for row in self.rows]
 
     def is_zero(self) -> bool:
         return all(not r for r in self.rows)

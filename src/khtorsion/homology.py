@@ -14,23 +14,28 @@ the torsion is the invariant factors of d_{i-1}.
 Both the table and the Smith normal form eliminate units through one
 primitive, `_units`: `cancel_units` runs it on every d_k of the
 complex, `smith_normal_form` on its copy of one matrix.  It keeps a
-row list and an exact live count per column, and logs its updates only
-for the transform SNF.  What is left has no unit entry and is finished
-by fraction-free integer elimination with pivots chosen of smallest
-magnitude (ties by least fill); Python integers keep everything exact.
+row list and an exact live count per column, and hands its row updates
+to the transform SNF, which logs them.  What is left has no unit entry
+and is finished by fraction-free integer elimination with pivots chosen
+of smallest magnitude (ties by least fill); Python integers keep
+everything exact.
 
 The exactness oracle factors the full matrices, with transforms,
-because its witness is a chain of enhanced states.  `is_exact` solves
-d(y) = v over the integers using the transforms U M V = S: with
-b = U v the system is solvable iff b_t is divisible by the t-th
-invariant factor (and b vanishes beyond the rank), in which case
-y = V z is a witness.
+because its witness is a chain of enhanced states.  The transforms
+U M V = S are never built: the transform SNF keeps a flat log of its
+row and column ops, in the matrix's own indices.  `is_exact` solves
+d(y) = v over the integers by replaying the row ops forward on v, which
+gives b = U v; the system is solvable iff b at each pivot row is
+divisible by its invariant factor and b vanishes off the pivot rows.
+Only then are the column ops replayed in reverse on z = b / S, giving
+the witness y = V z.
 `class_order` applies this to m v for the divisors m of the exponent
 bound (the largest invariant factor), checking the cycle only once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -60,23 +65,53 @@ DEFAULT_CROSSING_LIMIT = 18
 
 @dataclass
 class SNFResult:
-    """U @ M @ V = S with S = diag(factors) padded by zeros."""
+    """Invariant factors of M, each dividing the next, all positive.
 
-    u: Optional[SparseIntMatrix]
-    v: Optional[SparseIntMatrix]
+    With transforms, also the log of the elimination U M V = S, in M's
+    own row and column indices: S holds factor t at (pivot_rows[t],
+    pivot_cols[t]) and is zero elsewhere.  U and V are never built;
+    `apply_u` and `apply_v` replay the log on one vector.  A row op
+    (s, sign, r1, q1, r2, q2, ...) subtracts q_k times row s from row
+    r_k, then multiplies row s by sign.  A column op (c, c1, q1, ...)
+    subtracts q_k times column c from column c_k.  A gcd op
+    (c1, c2, a, b, x, y), with a x + b y = 1, replaces columns
+    (c1, c2) by (x c1 + y c2, -b c1 + a c2); all gcd ops come last.
+    """
+
     factors: list[int]
     nrows: int
     ncols: int
+    pivot_rows: Optional[list[int]] = None
+    pivot_cols: Optional[list[int]] = None
+    row_ops: Optional[list[tuple[int, ...]]] = None
+    col_ops: Optional[list[tuple[int, ...]]] = None
+    gcd_ops: Optional[list[tuple[int, ...]]] = None
 
     @property
     def rank(self) -> int:
         return len(self.factors)
 
-    def s_matrix(self) -> SparseIntMatrix:
-        s = SparseIntMatrix(self.nrows, self.ncols)
-        for t, d in enumerate(self.factors):
-            s.rows[t][t] = d
-        return s
+    def apply_u(self, vec: list[int]) -> list[int]:
+        """U vec: the row ops replayed forward."""
+        b = list(vec)
+        for op in self.row_ops:
+            s = op[0]
+            x = b[s]
+            if x:
+                for k in range(2, len(op), 2):
+                    b[op[k]] -= op[k + 1] * x
+                if op[1] < 0:
+                    b[s] = -x
+        return b
+
+    def apply_v(self, vec: list[int]) -> list[int]:
+        """V vec: the column ops replayed in reverse."""
+        z = list(vec)
+        for c1, c2, a, b, x, y in reversed(self.gcd_ops):
+            z[c1], z[c2] = x * z[c1] - b * z[c2], y * z[c1] + a * z[c2]
+        for op in reversed(self.col_ops):
+            z[op[0]] -= sum(op[k + 1] * z[op[k]] for k in range(1, len(op), 2))
+        return z
 
 
 def _units(rows: list[dict[int, int]], ncols: int, log: bool = False):
@@ -180,45 +215,34 @@ def _units(rows: list[dict[int, int]], ncols: int, log: bool = False):
         yield r, c, phi, row, updates
 
 
-def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
-    """dst += q * src on sparse vectors."""
-    for k, v in src.items():
-        x = dst.get(k, 0) + q * v
-        if x:
-            dst[k] = x
-        elif k in dst:
-            del dst[k]
-
-
 def smith_normal_form(matrix: SparseIntMatrix,
                       transforms: bool = True) -> SNFResult:
     """Smith normal form of an integer matrix.
 
-    Returns factors in divisibility order (each dividing the next, all
-    positive) plus unimodular U, V when `transforms` is set.  Every +-1
-    entry is cancelled first by `_units`, the elimination that
-    `cancel_units` runs on the table complexes; U and V replay its row
-    and column updates.  The residual has no unit left and is finished
-    by Euclid's reduction, each pivot an entry of smallest magnitude
-    with least Markowitz fill.  Rows and columns are never physically
-    swapped during elimination, the permutation is applied to the
-    transforms at the end.
+    Returns the factors in divisibility order (each dividing the next,
+    all positive) plus, when `transforms` is set, the log of row and
+    column ops that `SNFResult` replays as U and V.  Every +-1 entry is
+    cancelled first by `_units`, the elimination that `cancel_units`
+    runs on the table complexes; its updates are logged as they come.
+    The residual has no unit left and is finished by Euclid's
+    reduction, each pivot an entry of smallest magnitude with least
+    Markowitz fill.  Rows and columns are never swapped: the log keeps
+    M's indices, and gcd steps on pairs of pivots then enforce
+    divisibility.
     """
     m = matrix.copy()
     nrows, ncols = m.nrows, m.ncols
-    u = SparseIntMatrix.identity(nrows) if transforms else None
-    # V is maintained column-major: vcols[c] = dict row -> value
-    vcols = [{c: 1} for c in range(ncols)] if transforms else None
+    row_ops, col_ops, gcd_ops = ([], [], []) if transforms else (None,) * 3
+    flat = itertools.chain.from_iterable
 
     pivots: list[tuple[int, int, int]] = []  # (row, column, factor)
     for r, c, phi, row, updates in _units(m.rows, ncols, transforms):
-        if u is not None:
-            for r2, q in updates:
-                _axpy(u.rows[r2], u.rows[r], -q)
-            for c2, v in row.items():
-                _axpy(vcols[c2], vcols[c], -v * phi)
-            if phi < 0:
-                u.rows[r] = {c2: -x for c2, x in u.rows[r].items()}
+        if transforms:
+            if updates or phi < 0:
+                row_ops.append((r, phi, *flat(updates)))
+            if row:
+                col_ops.append((c, *flat((c2, v * phi)
+                                         for c2, v in row.items())))
         pivots.append((r, c, 1))
     col_rows: list[set[int]] = [set() for _ in range(ncols)]
     for r, row in enumerate(m.rows):
@@ -239,8 +263,8 @@ def smith_normal_form(matrix: SparseIntMatrix,
             elif c in rdst:
                 col_rows[c].discard(dst)
                 del rdst[c]
-        if u is not None:
-            _axpy(u.rows[dst], u.rows[src], q)
+        if transforms:
+            row_ops.append((src, 1, dst, -q))
 
     def add_col(src, dst, q):
         # col[dst] += q * col[src]
@@ -256,8 +280,8 @@ def smith_normal_form(matrix: SparseIntMatrix,
             elif dst in row:
                 col_rows[dst].discard(r)
                 del row[dst]
-        if vcols is not None:
-            _axpy(vcols[dst], vcols[src], q)
+        if transforms:
+            col_ops.append((src, dst, -q))
 
     live = [r for r, row in enumerate(m.rows) if row]
     while live:
@@ -295,23 +319,15 @@ def smith_normal_form(matrix: SparseIntMatrix,
         col_rows[pc].clear()
         if pivot < 0:
             pivot = -pivot
-            if u is not None:
-                u.rows[pr] = {c: -v for c, v in u.rows[pr].items()}
+            if transforms:
+                row_ops.append((pr, -1))
         pivots.append((pr, pc, pivot))
         live = [r for r in live if m.rows[r]]
 
     factors = [d for _, _, d in pivots]
-    if u is not None:
-        # permute the pivots onto the leading diagonal
-        done_rows = {r for r, _, _ in pivots}
-        done_cols = {c for _, c, _ in pivots}
-        u = SparseIntMatrix(nrows, nrows, [u.rows[r] for r, _, _ in pivots]
-                            + [u.rows[r] for r in range(nrows)
-                               if r not in done_rows])
-        vcols = ([vcols[c] for _, c, _ in pivots]
-                 + [vcols[c] for c in range(ncols) if c not in done_cols])
-
-    # enforce divisibility d_t | d_{t+1} on the diagonal
+    rows = [r for r, _, _ in pivots]
+    cols = [c for _, c, _ in pivots]
+    # enforce divisibility d_t | d_{t+1}
     changed = True
     while changed:
         changed = False
@@ -322,21 +338,16 @@ def smith_normal_form(matrix: SparseIntMatrix,
             changed = True
             g, x, y = _xgcd(a, b)
             factors[t], factors[t + 1] = g, a // g * b
-            if u is not None:
+            if transforms:
                 # on diag(a, b): R_t += R_{t+1}; columns (t, t+1) <- the
                 # gcd combination; then R_{t+1} -= (b y / g) R_t
-                _axpy(u.rows[t], u.rows[t + 1], 1)
-                _col_gcd_step(vcols, t, t + 1, a // g, b // g, x, y)
-                _axpy(u.rows[t + 1], u.rows[t], -(b // g * y))
-    if u is None:
-        return SNFResult(None, None, factors, nrows, ncols)
-
-    v = SparseIntMatrix(ncols, ncols)
-    for c in range(ncols):
-        col, vcols[c] = vcols[c], None  # freed as soon as it is copied
-        for r, val in col.items():
-            v.rows[r][c] = val
-    return SNFResult(u, v, factors, nrows, ncols)
+                r1, r2 = rows[t], rows[t + 1]
+                row_ops += (r2, 1, r1, -1), (r1, 1, r2, b // g * y)
+                gcd_ops.append((cols[t], cols[t + 1], a // g, b // g, x, y))
+    if not transforms:
+        return SNFResult(factors, nrows, ncols)
+    return SNFResult(factors, nrows, ncols, rows, cols,
+                     row_ops, col_ops, gcd_ops)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -350,25 +361,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
     return old_r, old_s, old_t
-
-
-def _col_gcd_step(vcols, c1, c2, a, b, x, y):
-    """Columns (c1, c2) <- (x c1 + y c2, -b c1 + a c2) for coprime a, b
-    with a x + b y = 1.
-
-    The transform [[x, -b], [y, a]] has determinant 1.
-    """
-    w1, w2 = {}, {}
-    for r in set(vcols[c1]) | set(vcols[c2]):
-        v1 = vcols[c1].get(r, 0)
-        v2 = vcols[c2].get(r, 0)
-        n1 = x * v1 + y * v2
-        n2 = -b * v1 + a * v2
-        if n1:
-            w1[r] = n1
-        if n2:
-            w2[r] = n2
-    vcols[c1], vcols[c2] = w1, w2
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +449,7 @@ def homology_at(diagram: Diagram, i: int, j: int) -> tuple[int, tuple[int, ...]]
     def at(k: int) -> SNFResult:
         if 0 <= k < len(reduced):
             return reduced[k]
-        return SNFResult(None, None, [], 0, 0)
+        return SNFResult([], 0, 0)
 
     snf, prev = at(i), at(i - 1)
     free = snf.ncols - snf.rank - prev.rank
@@ -588,15 +580,15 @@ def _solve(chain: Chain) -> tuple[bool, Optional[Chain]]:
     if not b_from:
         return False, None
     snf = _snf(diagram, i - 1, j, transforms=True)
-    b = snf.u.apply(vec)
+    b = snf.apply_u(vec)
     z = [0] * snf.ncols
-    for t, d in enumerate(snf.factors):
-        if b[t] % d:
+    for r, c, d in zip(snf.pivot_rows, snf.pivot_cols, snf.factors):
+        if b[r] % d:
             return False, None
-        z[t] = b[t] // d
-    if any(b[t] for t in range(snf.rank, snf.nrows)):
+        z[c], b[r] = b[r] // d, 0
+    if any(b):
         return False, None
-    y = snf.v.apply(z)
+    y = snf.apply_v(z)
     witness = Chain(diagram, i - 1, j,
                     {b_from[k]: y[k] for k in range(len(b_from)) if y[k]},
                     check=False)

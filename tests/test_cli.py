@@ -244,6 +244,18 @@ def test_bound_rational_checks_hypotheses_once(capsys, count_calls):
         "80ec7fa027836f4f0345b56aee58d1edf24e0ad190e8a5098f793e2377cf5481")
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (("--pretzel", "5,-3,2,3,-2", "--state", "signed"), "d31a8291242947da"),
+    (("--monocircular", "5,5"), "929845f9f7848779")])
+def test_certify_oracle_json_pinned(capsys, argv, prefix):
+    # the oracle's gate: the sha256 of `certify --verify-oracle --json`,
+    # which holds every certificate's order and exactness flags
+    code, out, err = run(capsys, "certify", *argv, "--all-even",
+                         "--verify-oracle", "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("h1, h2, prefix", [
     (6, 6, "23d4d8d31acc9781"), (5, 7, "e1cfed13d799b707"),

@@ -54,6 +54,29 @@ def test_snf_empty():
     assert res.factors == [] and res.rank == 0
 
 
+def _transforms(res):
+    """U and V of a transform SNF, built column by column by replaying
+    its log on the unit vectors."""
+    def build(apply, n):
+        mat = SparseIntMatrix(n, n)
+        for k in range(n):
+            for r, x in enumerate(apply([int(t == k) for t in range(n)])):
+                mat.set(r, k, x)
+        return mat
+    return build(res.apply_u, res.nrows), build(res.apply_v, res.ncols)
+
+
+def _assert_umv(m, res):
+    """U M V = S, with factor t at (pivot_rows[t], pivot_cols[t])."""
+    assert len(set(res.pivot_rows)) == len(set(res.pivot_cols)) == res.rank
+    s = SparseIntMatrix(res.nrows, res.ncols)
+    for r, c, d in zip(res.pivot_rows, res.pivot_cols, res.factors):
+        s.set(r, c, d)
+    u, v = _transforms(res)
+    assert u.matmul(m).matmul(v).to_dense() == s.to_dense()
+    return u, v
+
+
 def test_snf_transforms_umv():
     rng = random.Random(5)
     for _ in range(25):
@@ -63,8 +86,9 @@ def test_snf_transforms_umv():
         rows = [r + [0] * (width - len(r)) for r in rows]
         m = dense(rows)
         res = smith_normal_form(m)
-        prod = res.u.matmul(m).matmul(res.v)
-        assert prod.to_dense() == res.s_matrix().to_dense()
+        # U and V are unimodular: their invariant factors are all ones
+        for t in _assert_umv(m, res):
+            assert smith_normal_form(t, False).factors == [1] * t.nrows
         for a, b in zip(res.factors, res.factors[1:]):
             assert b % a == 0
         assert all(f > 0 for f in res.factors)
@@ -143,8 +167,7 @@ def test_snf_large_sparse_against_dense_reference():
         plain = smith_normal_form(m, transforms=False)
         full = smith_normal_form(m, transforms=True)
         assert plain.factors == full.factors == dense_snf_factors(rows)
-        prod = full.u.matmul(m).matmul(full.v)
-        assert prod.to_dense() == full.s_matrix().to_dense()
+        _assert_umv(m, full)
 
 
 def _has_unit(row):
@@ -153,7 +176,7 @@ def _has_unit(row):
 
 def _replay(before, r, c, phi, row, updates):
     """One logged `_units` step applied to a copy of the rows it started
-    from: the log `smith_normal_form` replays into U and V."""
+    from: the log `smith_normal_form` keeps for its U and V replays."""
     rows = [dict(line) for line in before]
     pivot = rows[r]
     assert pivot.pop(c) == phi and pivot == row

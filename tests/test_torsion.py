@@ -322,6 +322,23 @@ def test_certificate_oracle_flags_from_one_order_query(count_calls):
     assert cert.flags["oracle_2v_exact"] == is_exact(2 * v)[0]
 
 
+def test_witness_through_non_unit_pivots():
+    # d_{i-1} of these certificates keeps entries +-2 after its units are
+    # cancelled, so the witness of 2V replays Euclid's row and column ops
+    d = pretzel([5, -3, 2, 3, -2])
+    certs = [certify_torsion(monocircular(3, 6), 0, (2, 2))]
+    certs += [certify_torsion(d, d.family_negative, mu) for mu in
+              all_even_tuples(checked_hypotheses(
+                  d, d.family_negative).mu_heights())]
+    assert len(certs) == 3
+    for cert in certs:
+        v = cert.chain_v
+        assert is_exact(v) == (False, None)
+        exact, y = is_exact(2 * v)
+        assert exact
+        assert differential(cert.diagram, y) == 2 * v
+
+
 def test_certify_rejects_hopf_pretzel():
     with pytest.raises(HypothesisRejected) as err:
         certify_torsion(pretzel([-1, 3]), 0, (2, 2))
@@ -618,6 +635,14 @@ def test_grid_counts_match_homology_torsion_census():
 def test_grid_counts_match_homology_torsion_census_to_12(h1, h2):
     # h1 + h2 in {11, 12}: D(2, n) = P(-1, -1, n) is a twist knot, so
     # this is the paper's "all torsion of small twist knots"
+    _census(h1, h2)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("h1, h2", [(h1, s - h1) for s in (13, 14)
+                                    for h1 in range(2, s // 2 + 1)])
+def test_grid_counts_match_homology_torsion_census_to_14(h1, h2):
+    # h1 + h2 in {13, 14}: 11 diagrams of 13 and 14 crossings
     _census(h1, h2)
 
 
