@@ -73,9 +73,7 @@ class SNFResult:
     `apply_u` and `apply_v` replay the log on one vector.  A row op
     (s, sign, r1, q1, r2, q2, ...) subtracts q_k times row s from row
     r_k, then multiplies row s by sign.  A column op (c, c1, q1, ...)
-    subtracts q_k times column c from column c_k.  A gcd op
-    (c1, c2, a, b, x, y), with a x + b y = 1, replaces columns
-    (c1, c2) by (x c1 + y c2, -b c1 + a c2); all gcd ops come last.
+    subtracts q_k times column c from column c_k.
     """
 
     factors: list[int]
@@ -85,7 +83,6 @@ class SNFResult:
     pivot_cols: Optional[list[int]] = None
     row_ops: Optional[list[tuple[int, ...]]] = None
     col_ops: Optional[list[tuple[int, ...]]] = None
-    gcd_ops: Optional[list[tuple[int, ...]]] = None
 
     @property
     def rank(self) -> int:
@@ -107,8 +104,6 @@ class SNFResult:
     def apply_v(self, vec: list[int]) -> list[int]:
         """V vec: the column ops replayed in reverse."""
         z = list(vec)
-        for c1, c2, a, b, x, y in reversed(self.gcd_ops):
-            z[c1], z[c2] = x * z[c1] - b * z[c2], y * z[c1] + a * z[c2]
         for op in reversed(self.col_ops):
             z[op[0]] -= sum(op[k + 1] * z[op[k]] for k in range(1, len(op), 2))
         return z
@@ -227,12 +222,13 @@ def smith_normal_form(matrix: SparseIntMatrix,
     The residual has no unit left and is finished by Euclid's
     reduction, each pivot an entry of smallest magnitude with least
     Markowitz fill.  Rows and columns are never swapped: the log keeps
-    M's indices, and gcd steps on pairs of pivots then enforce
-    divisibility.
+    M's indices.  A pair of factors with d_t not dividing d_{t+1} is put
+    back, its second row is added to its first, and the same Euclid
+    steps leave the gcd and then the lcm: the log needs no other op.
     """
     m = matrix.copy()
     nrows, ncols = m.nrows, m.ncols
-    row_ops, col_ops, gcd_ops = ([], [], []) if transforms else (None,) * 3
+    row_ops, col_ops = ([], []) if transforms else (None, None)
     flat = itertools.chain.from_iterable
 
     pivots: list[tuple[int, int, int]] = []  # (row, column, factor)
@@ -283,84 +279,67 @@ def smith_normal_form(matrix: SparseIntMatrix,
         if transforms:
             col_ops.append((src, dst, -q))
 
-    live = [r for r, row in enumerate(m.rows) if row]
-    while live:
-        _, _, pr, pc = min(
-            (v if v > 0 else -v,
-             (len(m.rows[r]) - 1) * (len(col_rows[c]) - 1), r, c)
-            for r in live for c, v in m.rows[r].items())
+    def euclid(pr, pc):
+        # clear the pivot's column by row steps and its row by column
+        # steps, moving to each nonzero remainder, the smaller pivot; then
+        # pop the pivot, made positive
         while True:
             pivot = m.rows[pr][pc]
-            changed = False
             for r2 in list(col_rows[pc]):
-                if r2 == pr:
-                    continue
-                add_row(pr, r2, -(m.rows[r2][pc] // pivot))
-                if m.rows[r2].get(pc):
-                    pr = r2  # the remainder is the smaller pivot
-                    changed = True
+                if r2 != pr:
+                    add_row(pr, r2, -(m.rows[r2][pc] // pivot))
+                    if pc in m.rows[r2]:
+                        pr = r2
+                        break
+            else:
+                for c2 in list(m.rows[pr]):
+                    if c2 != pc:
+                        add_col(pc, c2, -(m.rows[pr][c2] // pivot))
+                        if c2 in m.rows[pr]:
+                            pc = c2
+                            break
+                else:
                     break
-            if changed:
-                continue
-            pivot = m.rows[pr][pc]
-            for c2 in list(m.rows[pr]):
-                if c2 == pc:
-                    continue
-                add_col(pc, c2, -(m.rows[pr][c2] // pivot))
-                if m.rows[pr].get(c2):
-                    pc = c2
-                    changed = True
-                    break
-            if changed:
-                continue
-            if len(m.rows[pr]) == 1 and len(col_rows[pc]) == 1:
-                break
         pivot = m.rows[pr].pop(pc)
         col_rows[pc].clear()
         if pivot < 0:
             pivot = -pivot
             if transforms:
                 row_ops.append((pr, -1))
-        pivots.append((pr, pc, pivot))
+        return pr, pc, pivot
+
+    live = [r for r, row in enumerate(m.rows) if row]
+    while live:
+        _, _, pr, pc = min(
+            (v if v > 0 else -v,
+             (len(m.rows[r]) - 1) * (len(col_rows[c]) - 1), r, c)
+            for r in live for c, v in m.rows[r].items())
+        pivots.append(euclid(pr, pc))
         live = [r for r in live if m.rows[r]]
 
+    # enforce d_t | d_{t+1}: put a failing pair back, add its second row
+    # to its first, and let Euclid leave the gcd, then the lcm, on the
+    # 2x2 block; the gcd may fail against d_{t-1}, so step back a pair
+    t = 0
+    while t < len(pivots) - 1:
+        (r1, c1, a), (r2, c2, b) = pivots[t], pivots[t + 1]
+        if b % a == 0:
+            t += 1
+            continue
+        m.rows[r1][c1], m.rows[r2][c2] = a, b
+        col_rows[c1].add(r1)
+        col_rows[c2].add(r2)
+        add_row(r2, r1, 1)
+        pr, pc, _ = pivots[t] = euclid(r1, c1)
+        # the entry left is in the block's other row and column
+        pivots[t + 1] = euclid(r1 + r2 - pr, c1 + c2 - pc)
+        t = max(t - 1, 0)
+
     factors = [d for _, _, d in pivots]
-    rows = [r for r, _, _ in pivots]
-    cols = [c for _, c, _ in pivots]
-    # enforce divisibility d_t | d_{t+1}
-    changed = True
-    while changed:
-        changed = False
-        for t in range(len(factors) - 1):
-            a, b = factors[t], factors[t + 1]
-            if b % a == 0:
-                continue
-            changed = True
-            g, x, y = _xgcd(a, b)
-            factors[t], factors[t + 1] = g, a // g * b
-            if transforms:
-                # on diag(a, b): R_t += R_{t+1}; columns (t, t+1) <- the
-                # gcd combination; then R_{t+1} -= (b y / g) R_t
-                r1, r2 = rows[t], rows[t + 1]
-                row_ops += (r2, 1, r1, -1), (r1, 1, r2, b // g * y)
-                gcd_ops.append((cols[t], cols[t + 1], a // g, b // g, x, y))
     if not transforms:
         return SNFResult(factors, nrows, ncols)
-    return SNFResult(factors, nrows, ncols, rows, cols,
-                     row_ops, col_ops, gcd_ops)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, x, y with a x + b y = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    return SNFResult(factors, nrows, ncols, [r for r, _, _ in pivots],
+                     [c for _, c, _ in pivots], row_ops, col_ops)
 
 
 # ---------------------------------------------------------------------------

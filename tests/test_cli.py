@@ -259,7 +259,7 @@ def test_certify_oracle_json_pinned(capsys, argv, prefix):
 @pytest.mark.slow
 @pytest.mark.parametrize("h1, h2, prefix", [
     (6, 6, "23d4d8d31acc9781"), (5, 7, "e1cfed13d799b707"),
-    (6, 7, "3b877dfedd8ab49f")])
+    (6, 7, "3b877dfedd8ab49f"), (7, 7, "448fd1b1882fe186")])
 def test_table_json_census_sizes_pinned(capsys, h1, h2, prefix):
     # the table path's gate: the sha256 of `table --json` at census sizes
     code, out, err = run(capsys, "table", "--monocircular", f"{h1},{h2}",

@@ -47,6 +47,18 @@ def test_snf_already_diagonal():
 def test_snf_hand_elimination_oracle():
     res = smith_normal_form(dense([[2, 4], [6, 8]]))
     assert res.factors == [2, 4]
+    # diagonals whose pivots fail divisibility; on (4, 6, 9) the gcd 3
+    # of the second pair fails against the 2 before it, a step back
+    for diag, factors in (((2, 3), [1, 6]), ((4, 6, 9), [1, 6, 36]),
+                          ((9, 6, 4), [1, 6, 36])):
+        rows = [[d if r == c else 0 for c in range(len(diag))]
+                for r, d in enumerate(diag)]
+        m = dense(rows)
+        assert dense_snf_factors(rows) == factors
+        assert smith_normal_form(m, transforms=False).factors == factors
+        res = smith_normal_form(m, transforms=True)
+        assert res.factors == factors
+        _assert_umv(m, res)
 
 
 def test_snf_empty():
