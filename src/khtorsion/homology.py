@@ -9,7 +9,9 @@ loses row c and d_{i+1} column r, which is thus never assembled.  The
 residual is homotopy equivalent to C^{*,j} and has no unit entry, so it
 is small; Kh^{i,j} = ker(d_i) / im(d_{i-1}) is read off its rank-only
 Smith normal form: the free rank is dim - rank(d_i) - rank(d_{i-1}) and
-the torsion is the invariant factors of d_{i-1}.
+the torsion is the invariant factors of d_{i-1}.  Only the row
+Kh^{0,j}, ..., Kh^{n,j} is kept, for j = -m_A, ..., n + m_B (m_A and m_B
+circles in the all-A and all-B states).
 
 Both the table and the Smith normal form eliminate units through one
 primitive, `_units`: `cancel_units` runs it on every d_k of the
@@ -399,12 +401,14 @@ def cancel_units(assemble: Callable[..., SparseIntMatrix],
     return residual
 
 
-def _reduced(diagram: Diagram, j: int) -> list[SNFResult]:
-    """For i = 0..n: the rank-only SNF of the residual d_i left by
-    `cancel_units` (cached per j); its `ncols` counts the generators of
-    C^{i,j} that survive.  Each d_i is assembled on the generators that
-    d_{i-1} left, only the bases of C^{i,j} and C^{i+1,j} are held, and
-    no full matrix is kept."""
+def _reduced(diagram: Diagram, j: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The row Kh^{0,j}, ..., Kh^{n,j} (cached per j) as (free rank,
+    torsion invariant factors > 1), from the rank-only SNF of each
+    residual d_i that `cancel_units` leaves: the free rank is its column
+    count less rank d_i and rank d_{i-1}, the torsion the factors > 1 of
+    d_{i-1}.  Each d_i is assembled on the generators that d_{i-1} left,
+    only the bases of C^{i,j} and C^{i+1,j} are held, and no matrix or
+    SNF is kept."""
     def reduce():
         n = diagram.n_total
         basis = enumerate_states(diagram, 0, j)
@@ -412,28 +416,25 @@ def _reduced(diagram: Diagram, j: int) -> list[SNFResult]:
         def assemble(i, keep):  # called for i = 0, 1, ..., n in turn
             nonlocal basis
             live = basis if keep is None else [basis[c] for c in keep]
-            basis = enumerate_states(diagram, i + 1, j) if i < n else []
+            basis = enumerate_states(diagram, i + 1, j)
             return boundary_matrix(diagram, i, j, live, basis)
 
-        return [smith_normal_form(m, transforms=False)
-                for m in cancel_units(assemble, n + 1)]
+        row, rank, torsion = [], 0, ()  # rank and torsion of d_{i-1}
+        for m in cancel_units(assemble, n + 1):
+            snf = smith_normal_form(m, transforms=False)
+            row.append((m.ncols - snf.rank - rank, torsion))
+            rank, torsion = snf.rank, tuple(d for d in snf.factors if d > 1)
+        return row
     return diagram.cached(("reduced", j), reduce)
 
 
 def homology_at(diagram: Diagram, i: int, j: int) -> tuple[int, tuple[int, ...]]:
-    """(free rank, torsion invariant factors > 1) of Kh^{i,j}(D), read
-    off the unit-cancelled complex at quantum degree j."""
-    reduced = _reduced(diagram, j)
-
-    def at(k: int) -> SNFResult:
-        if 0 <= k < len(reduced):
-            return reduced[k]
-        return SNFResult([], 0, 0)
-
-    snf, prev = at(i), at(i - 1)
-    free = snf.ncols - snf.rank - prev.rank
-    torsion = tuple(d for d in prev.factors if d > 1)
-    return free, torsion
+    """(free rank, torsion invariant factors > 1) of Kh^{i,j}(D): entry
+    i of the row `_reduced` reads off the unit-cancelled complex at
+    quantum degree j, and (0, ()) outside 0 <= i <= n."""
+    if 0 <= i <= diagram.n_total:
+        return _reduced(diagram, j)[i]
+    return 0, ()
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +513,15 @@ class KhovanovTable:
 def khovanov_table(diagram: Diagram,
                    limit: int = DEFAULT_CROSSING_LIMIT) -> KhovanovTable:
     """Full integer Khovanov homology table of the diagram."""
-    if diagram.n_total > limit:
-        raise SizeGuardError(diagram.n_total, limit)
-    # quantum support per homological degree
-    support: set[tuple[int, int]] = set()
-    for labels in range(1 << diagram.n_total):
-        i = bin(labels).count("1")
-        m = smooth(diagram, labels).circles
-        for plus_count in range(m + 1):
-            support.add((i, i + 2 * plus_count - m))
-    entries = {(i, j): homology_at(diagram, i, j)
-               for (i, j) in sorted(support)}
+    n_total = diagram.n_total
+    if n_total > limit:
+        raise SizeGuardError(n_total, limit)
+    # a state's generators lie at j = i - m, i - m + 2, ..., i + m for m
+    # circles; an A-to-B flip adds 1 to i and +-1 to m, so i - m >= -m_A
+    # and i + m <= n + m_B, and i - m has the parity of -m_A
+    m_a, m_b = (smooth(diagram, s).circles for s in (0, (1 << n_total) - 1))
+    rows = {j: _reduced(diagram, j) for j in range(-m_a, n_total + m_b + 1, 2)}
+    entries = {(i, j): rows[j][i] for i in range(n_total + 1) for j in rows}
     p, n, _ = diagram.stats()
     return KhovanovTable(entries, p, n)
 

@@ -174,8 +174,6 @@ def enumerate_states(diagram: Diagram, i: int, j: int) -> list[EnhancedState]:
 
     Order: label bitmask ascending, then sign bitmask ascending.
     """
-    if i < 0 or i > diagram.n_total:
-        return []
     states = _masks_with_popcount(diagram.n_total, i)
     return list(_enhancements(diagram, states, i, j))
 

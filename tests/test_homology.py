@@ -520,23 +520,24 @@ def test_table_never_assembles_a_cancelled_target(name, monkeypatch):
     every d_i assembled in full it would be G."""
     from khtorsion import homology
     assembled = []
+    residual = []
 
     def counting(*args):
         m = boundary_matrix(*args)
         assembled.append(m.ncols)
         return m
 
+    def residual_snf(matrix, transforms=True):
+        assert not transforms  # the table factors residuals rank-only
+        residual.append(matrix.ncols)
+        return smith_normal_form(matrix, transforms)
+
     monkeypatch.setattr(homology, "boundary_matrix", counting)
+    monkeypatch.setattr(homology, "smith_normal_form", residual_snf)
     d = TABLE_DIAGRAMS[name]()
     khovanov_table(d)
     g = sum(1 << smooth(d, labels).circles for labels in range(1 << d.n_total))
-    js = {bin(labels).count("1") + smooth(d, labels).circles - 2 * k
-          for labels in range(1 << d.n_total)
-          for k in range(smooth(d, labels).circles + 1)}
-    before = len(assembled)
-    # the residuals the table kept: every _reduced call is a cache hit
-    r = sum(snf.ncols for j in js for snf in homology._reduced(d, j))
-    assert len(assembled) == before
+    r = sum(residual)
     assert r < g
     assert 2 * sum(assembled) == g + r
 
@@ -664,12 +665,16 @@ def _nu_splits(hq):
     return True
 
 
+def _corpus_and_mirrors():
+    from test_acceptance import _corpus
+    ds = [(f"corpus{k}", d) for k, d in enumerate(_corpus())]
+    return ds + [(name + "-mirror", d.mirror()) for name, d in ds]
+
+
 def _nu_diagrams():
     """The acceptance corpus and its mirrors, and the benchmark's `table`
     workload items of up to 10 crossings."""
-    from test_acceptance import _corpus
-    ds = [(f"corpus{k}", d) for k, d in enumerate(_corpus())]
-    ds += [(name + "-mirror", d.mirror()) for name, d in ds]
+    ds = _corpus_and_mirrors()
     ds += [(name, make()) for name, make in TABLE_DIAGRAMS.items()]
     ds += [("braid3(3,2,3,2)", braid3_closure([3, 2, 3, 2])),
            ("D(5,5)", monocircular(5, 5))]
@@ -750,6 +755,65 @@ def test_two_kink_unlink():
     d = parse_pd(_split_union(KINK, KINK))
     assert khovanov_table(d).hq_entries() == {
         (0, -2): (1, ()), (0, 0): (2, ()), (0, 2): (1, ())}
+
+
+def _j_range_diagrams():
+    """The acceptance corpus and its mirrors, the empty diagram, a
+    one-crossing kink and a split union."""
+    ds = _corpus_and_mirrors()
+    ds += [("empty", parse_pd("[]")), ("X(1,1,2,2)", parse_pd("X(1,1,2,2)")),
+           ("3_1+4_1", parse_pd(_split_union(KNOT_3_1, KNOT_4_1)))]
+    return [pytest.param(d, id=name) for name, d in ds]
+
+
+@pytest.mark.parametrize("d", _j_range_diagrams())
+def test_every_generator_lies_in_the_table_j_range(d):
+    """`khovanov_table` reads the rows j = -m_A, -m_A + 2, ..., n + m_B,
+    m_A and m_B being the circle counts of the all-A and all-B states.
+    A state L with i_L B labels and m_L circles has its generators at
+    j = i_L - m_L, i_L - m_L + 2, ..., i_L + m_L."""
+    n = d.n_total
+    m_a = smooth(d, 0).circles
+    m_b = smooth(d, (1 << n) - 1).circles
+    for labels in range(1 << n):
+        i, m = bin(labels).count("1"), smooth(d, labels).circles
+        assert -m_a <= i - m and i + m <= n + m_b
+        assert (i - m + m_a) % 2 == 0
+    for j in range(-m_a - 2, n + m_b + 3):
+        assert homology_at(d, -1, j) == homology_at(d, n + 1, j) == (0, ())
+
+
+# a kink on the edge e that enters a crossing at slot 0: e now ends at a
+# new crossing, k is the kink's loop and f the edge that takes e's place;
+# the four shapes give both crossing signs, the loop on either side of e
+R1_SHAPES = ("ekkf", "efkk", "kefk", "kkfe")
+
+
+def _kinked(d, crossing, shape):
+    quads = [list(c.edges) for c in d.crossings]
+    edge = {"e": quads[crossing][0], "k": max(map(max, quads)) + 1}
+    edge["f"] = quads[crossing][0] = edge["k"] + 1
+    quads.append([edge[s] for s in shape])
+    return parse_pd(str(quads))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: parse_pd(KNOT_6_1), id="6_1"),
+    pytest.param(lambda: monocircular(3, 4), id="D(3,4)"),
+    pytest.param(lambda: pretzel([-3, 3, -3]), id="P(-3,3,-3)"),
+    pytest.param(lambda: parse_pd(HOPF_2), id="Hopf"),
+])
+def test_reidemeister_one_kink_keeps_the_table(build):
+    """PD codes that no constructor builds: a kink in each of the four
+    shapes, at crossings 0..3 (mod n), leaves Kh in (h, q) unchanged."""
+    d = build()
+    hq = khovanov_table(d).hq_entries()
+    signs = set()
+    for k, shape in enumerate(R1_SHAPES):
+        kinked = _kinked(d, k % d.n_total, shape)
+        signs.add(kinked.crossings[-1].sign)
+        assert khovanov_table(kinked).hq_entries() == hq, shape
+    assert signs == {1, -1}
 
 
 @pytest.mark.parametrize("d", _nu_diagrams())
