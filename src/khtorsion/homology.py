@@ -25,14 +25,14 @@ everything exact.
 The exactness oracle factors the full matrices, with transforms,
 because its witness is a chain of enhanced states.  The transforms
 U M V = S are never built: the transform SNF keeps a flat log of its
-row and column ops, in the matrix's own indices.  `is_exact` solves
-d(y) = v over the integers by replaying the row ops forward on v, which
-gives b = U v; the system is solvable iff b at each pivot row is
-divisible by its invariant factor and b vanishes off the pivot rows.
-Only then are the column ops replayed in reverse on z = b / S, giving
-the witness y = V z.
-`class_order` applies this to m v for the divisors m of the exponent
-bound (the largest invariant factor), checking the cycle only once.
+row and column ops, in the matrix's own indices.  `_solve` replays the
+row ops forward on v, which gives b = U v; d(y) = m v is solvable over
+the integers iff m b vanishes off the pivot rows and m b at each pivot
+row is divisible by its invariant factor (`_quotient`).  `is_exact`
+takes m = 1 and only then replays the column ops in reverse on
+z = b / S, giving the witness y = V z.  `class_order` computes b once
+and returns the least m > 1 dividing the exponent bound (the largest
+invariant factor) that passes, building no witness.
 """
 
 from __future__ import annotations
@@ -537,71 +537,61 @@ def is_exact(chain: Chain) -> tuple[bool, Optional[Chain]]:
     Returns (True, y) with d(y) = chain, or (False, None).  Raises
     NotACycleError if d(chain) != 0.
     """
-    if not differential(chain.diagram, chain).is_zero():
-        raise NotACycleError("is_exact needs a cycle")
-    return _solve(chain)
-
-
-def _solve(chain: Chain) -> tuple[bool, Optional[Chain]]:
-    """`is_exact` on a chain known to be a cycle: solve d(y) = chain
-    through the transform SNF of d_{i-1}."""
     diagram = chain.diagram
     i, j = chain.i, chain.j
+    if not differential(diagram, chain).is_zero():
+        raise NotACycleError("is_exact needs a cycle")
     if chain.is_zero():
         return True, Chain(diagram, i - 1, j)
-    b_to = basis(diagram, i, j)
-    b_from = basis(diagram, i - 1, j)
-    index = {s: r for r, s in enumerate(b_to)}
-    vec = [0] * len(b_to)
-    for s, c in chain.coeffs.items():
-        vec[index[s]] = c
-    if not b_from:
+    snf, b = _solve(chain)
+    z = None if snf is None else _quotient(snf, b, 1)
+    if z is None:
         return False, None
+    y = snf.apply_v(z)
+    b_from = basis(diagram, i - 1, j)
+    return True, Chain(diagram, i - 1, j,
+                       {b_from[k]: y[k] for k in range(len(b_from)) if y[k]},
+                       check=False)
+
+
+def _solve(chain: Chain) -> tuple[Optional[SNFResult], list[int]]:
+    """The transform SNF of d_{i-1} and b = U v for the chain's vector v;
+    the SNF is None when C^{i-1,j} = 0."""
+    diagram = chain.diagram
+    i, j = chain.i, chain.j
+    vec = [chain.coeffs.get(s, 0) for s in basis(diagram, i, j)]
+    if not basis(diagram, i - 1, j):
+        return None, vec
     snf = _snf(diagram, i - 1, j, transforms=True)
-    b = snf.apply_u(vec)
+    return snf, snf.apply_u(vec)
+
+
+def _quotient(snf: SNFResult, b: list[int], m: int) -> Optional[list[int]]:
+    """z with S z = m b, or None when m b is nonzero off the pivot rows
+    or a factor does not divide it."""
+    b = [m * x for x in b]
     z = [0] * snf.ncols
     for r, c, d in zip(snf.pivot_rows, snf.pivot_cols, snf.factors):
         if b[r] % d:
-            return False, None
+            return None
         z[c], b[r] = b[r] // d, 0
-    if any(b):
-        return False, None
-    y = snf.apply_v(z)
-    witness = Chain(diagram, i - 1, j,
-                    {b_from[k]: y[k] for k in range(len(b_from)) if y[k]},
-                    check=False)
-    return True, witness
+    return None if any(b) else z
 
 
 def class_order(chain: Chain):
     """Order of the homology class of the cycle: an integer, or math.inf.
 
     The order divides the exponent of the torsion subgroup, i.e. the
-    largest invariant factor of d_{i-1}.  The cycle is checked once, by
-    `is_exact`; each further divisor m is tested by solving for m times
-    the chain, a cycle because d(m v) = m d(v).
+    largest invariant factor d of d_{i-1}.  `is_exact` checks the cycle
+    and m = 1; one more solve gives b = U v, and the order is the least
+    m > 1 dividing d for which S z = m b has an integral solution.
     """
     exact, _ = is_exact(chain)
     if exact:
         return 1
-    snf = _snf(chain.diagram, chain.i - 1, chain.j, transforms=False)
-    bound = snf.factors[-1] if snf.factors else 1
-    for m in sorted(_divisors(bound)):
-        if m == 1:
-            continue
-        exact, _ = _solve(m * chain)
-        if exact:
-            return m
-    return math.inf
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    factors = _snf(chain.diagram, chain.i - 1, chain.j,
+                   transforms=False).factors
+    bound = factors[-1] if factors else 1
+    snf, b = _solve(chain)
+    return next((m for m in range(2, bound + 1) if bound % m == 0
+                 and _quotient(snf, b, m) is not None), math.inf)

@@ -268,6 +268,18 @@ def test_table_json_census_sizes_pinned(capsys, h1, h2, prefix):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("argv, prefix", [
+    (("--monocircular", "6,8"), "fae3b3fea00b9c14"),
+    (("--pretzel", "5,-3,2,3,-2", "--limit", "20"), "475fe58c36c84b0c")])
+def test_table_json_largest_pinned(capsys, argv, prefix):
+    # the same gate on D(6,8) (14 crossings) and P(5,-3,2,3,-2) (15),
+    # about 20 s and 160 MiB each
+    code, out, err = run(capsys, "table", *argv, "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
+
 def test_pd_file_input(tmp_path, capsys):
     f = tmp_path / "hopf.pd"
     f.write_text(HOPF_2)

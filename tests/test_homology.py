@@ -1,20 +1,22 @@
 """Smith normal form, homology tables, exactness oracle."""
 
 import inspect
+import itertools
 import math
 import random
 import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import family_diagrams
 from khtorsion import (Chain, NotACycleError, SizeGuardError, SparseIntMatrix,
                        boundary_matrix, braid3_closure, class_order,
                        differential, enumerate_states, homology_at, is_exact,
                        khovanov_table, monocircular, parse_pd, pretzel,
-                       rational, smith_normal_form, smooth)
+                       rational, reorder_crossings, smith_normal_form,
+                       smooth)
 from khtorsion.knotdata import (HOPF_2, KNOT_3_1, KNOT_4_1, KNOT_6_1,
                                 KNOT_9_42)
 
@@ -814,6 +816,57 @@ def test_reidemeister_one_kink_keeps_the_table(build):
         signs.add(kinked.crossings[-1].sign)
         assert khovanov_table(kinked).hq_entries() == hq, shape
     assert signs == {1, -1}
+
+
+def _braid_pd(strands, exponents):
+    """PD text of the closure of sigma_1^{a_1} sigma_2^{a_2} ..., the
+    letters cycling through sigma_1, ..., sigma_{strands-1}.  Strands run
+    top to bottom; the quadruples are those of `diagram._BAND_SLOTS`:
+    sigma+ is X(TL, BL, BR, TR), sigma- is X(TR, TL, BL, BR).  Each
+    strand's bottom label is then closed onto its top label."""
+    bottom = list(range(1, strands + 1))
+    labels = itertools.count(strands + 1)
+    quads = []
+    for k, a in enumerate(exponents):
+        i = k % (strands - 1)
+        for _ in range(abs(a)):
+            tl, tr = bottom[i], bottom[i + 1]
+            bl, br = bottom[i], bottom[i + 1] = next(labels), next(labels)
+            quads.append((tl, bl, br, tr) if a > 0 else (tr, tl, bl, br))
+    top = {b: t for t, b in enumerate(bottom, 1)}
+    return ",".join("X(%d,%d,%d,%d)" % tuple(top.get(e, e) for e in q)
+                    for q in quads)
+
+
+def _braid_words(min_size):
+    # 2-5 letters, exponents +-1..+-3, at most 8 crossings
+    return st.lists(st.integers(-3, 3).filter(bool), min_size=min_size,
+                    max_size=5).filter(lambda w: sum(map(abs, w)) <= 8)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_braid_words(2))
+def test_braid_pd_text_matches_braid3_closure(word):
+    """The closure as PD text, parsed by its slot-0 votes, against the
+    family constructor.  Only the sorted signs are compared: a component
+    that is never under takes `_label_forward`'s orientation."""
+    d = parse_pd(_braid_pd(3, word))
+    e = braid3_closure(word)
+    assert sorted(c.sign for c in d.crossings) == \
+        sorted(c.sign for c in e.crossings)
+    assert khovanov_table(d).hq_entries() == khovanov_table(e).hq_entries()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((3, 4)).flatmap(
+    lambda n: st.tuples(st.just(n), _braid_words(n - 1))),
+    st.randoms(use_true_random=False))
+def test_braid_pd_table_ignores_crossing_order(strands_word, rnd):
+    d = parse_pd(_braid_pd(*strands_word))
+    perm = list(range(d.n_total))
+    rnd.shuffle(perm)
+    assert khovanov_table(reorder_crossings(d, perm)).hq_entries() == \
+        khovanov_table(d).hq_entries()
 
 
 @pytest.mark.parametrize("d", _nu_diagrams())

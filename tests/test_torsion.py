@@ -309,8 +309,9 @@ def test_certificate_oracle_and_json():
 
 
 def test_certificate_oracle_flags_from_one_order_query(count_calls):
-    # the flags are read off class_order(V), which checks the cycle once
-    # and solves for V and 2V; they must agree with direct exactness queries
+    # the flags are read off class_order(V), which checks the cycle once,
+    # by is_exact(V), and tests 2V on one more solve for V, building no
+    # witness; they must agree with direct exactness queries
     calls = count_calls("is_exact", "differential")
     cert = certify_torsion(monocircular(3, 6), 0, (2, 2), oracle=True)
     assert calls["is_exact"] == 1
@@ -655,6 +656,13 @@ CENSUS = ([("pretzel", p) for p in ((3, -2, -2), (4, -2, -2), (5, -2, -2),
                                        (6, 2), (4, 4), (4, 2, 3))])
 
 
+def _census_family(family, params):
+    """A `CENSUS` diagram and the state its certificates start from."""
+    d = {"pretzel": pretzel, "braid3": braid3_closure,
+         "rational": rational}[family](list(params))
+    return d, d.family_negative if d.family_negative is not None else 0
+
+
 @pytest.mark.parametrize("family, params", CENSUS)
 def test_family_census_against_table(family, params):
     # the paper's order-two classes against the integral homology: at
@@ -663,9 +671,7 @@ def test_family_census_against_table(family, params):
     # and the family bound and the admissible class count are at most
     # its Z2 summands in all
     from khtorsion import khovanov_table
-    d = {"pretzel": pretzel, "braid3": braid3_closure,
-         "rational": rational}[family](list(params))
-    s0 = d.family_negative if d.family_negative is not None else 0
+    d, s0 = _census_family(family, params)
     heights = checked_hypotheses(d, s0).mu_heights()
     classes = admissible_classes(heights)
     class_of = {mu: k for k, members in enumerate(classes) for mu in members}
@@ -680,3 +686,70 @@ def test_family_census_against_table(family, params):
     bound = family_lower_bound(family, params)
     assert bound.applicable and bound.bound <= sum(z2.values())
     assert len(classes) <= sum(z2.values())
+
+
+# ---- the classes span the torsion -----------------------------------------
+
+
+def _kept(chains):
+    """The chains of one (i, j), each kept unless it plus the sum of some
+    of those already kept is exact: for order-two classes, the kept
+    count is the F2-dimension of their span."""
+    kept = []
+    for v in chains:
+        if not any(is_exact(sum(subset, v))[0] for r in range(len(kept) + 1)
+                   for subset in itertools.combinations(kept, r)):
+            kept.append(v)
+    return kept
+
+
+def _by_degree(chains):
+    groups = {}
+    for v in chains:
+        groups.setdefault((v.i, v.j), []).append(v)
+    return groups
+
+
+def _generation(h1, h2):
+    """The admissible and monocircular classes of D(h1, h2) generate its
+    torsion: at each degree with a class, the kept count is the number
+    of Z2 and the torsion is Z2 only, and no other degree has torsion."""
+    from khtorsion import khovanov_table
+    d = monocircular(h1, h2)
+    ladders = detect_ladders(d, 0)
+    vs = [chain_V(d, 0, ladders, cls[0])
+          for cls in admissible_classes((h1, h2))]
+    vs += [monocircular_V(d, which, mu)
+           for which, h in ((1, h1), (2, h2)) for mu in range(1, h, 2)]
+    groups = _by_degree(vs)
+    table = khovanov_table(d)
+    for ij, chains in groups.items():
+        _, tors = table.entry(*ij)
+        assert set(tors) == {2}, (h1, h2, ij, tors)
+        assert len(_kept(chains)) == len(tors), (h1, h2, ij)
+    assert {ij for ij, (_, tors) in table.entries.items() if tors} \
+        <= set(groups), (h1, h2)
+
+
+@pytest.mark.parametrize("h1, h2", [(h1, s - h1) for s in range(4, 11)
+                                    for h1 in range(2, s - 1)])
+def test_classes_generate_twist_knot_torsion(h1, h2):
+    _generation(h1, h2)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("h1, h2", [(h1, s - h1) for s in (11, 12)
+                                    for h1 in range(2, s - 1)])
+def test_classes_generate_twist_knot_torsion_to_12(h1, h2):
+    _generation(h1, h2)
+
+
+@pytest.mark.parametrize("family, params", CENSUS)
+def test_family_classes_are_independent(family, params):
+    # one V per admissible class of the family state: none of them is
+    # in the span of the others at its degree
+    d, s0 = _census_family(family, params)
+    classes = admissible_classes(checked_hypotheses(d, s0).mu_heights())
+    vs = [certify_torsion(d, s0, cls[0]).chain_v for cls in classes]
+    for chains in _by_degree(vs).values():
+        assert len(_kept(chains)) == len(chains)
